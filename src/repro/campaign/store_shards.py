@@ -4,7 +4,7 @@ Layout::
 
     campaign.shards/
         campaign.json        # the header (written atomically)
-        shard-000.jsonl      # cell records, routed by hash(cell_id)
+        shard-000.jsonl      # cell records, routed by sha256(cell_id)
         shard-001.jsonl
         ...
 

@@ -61,6 +61,7 @@ import numpy as np
 
 from .analysis.tables import TextTable
 from .campaign.aggregate import report_from_store, status_table
+from .campaign.fabric.executors import describe_worker_blas
 from .campaign.grids import calibration_campaign, paper_campaign, smoke_campaign
 from .campaign.runner import run_campaign
 from .campaign.spec import KNOWN_KINDS, CampaignSpec
@@ -249,6 +250,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
             print(f"    {record.error}")
 
     try:
+        print(describe_worker_blas(args.executor, args.workers))
         summary = run_campaign(
             spec,
             args.store,

@@ -187,7 +187,7 @@ class VideoStreamer(_SenderBase):
             raise SessionError(f"{client.name} has no camera attached")
         self.spec = spec
         self.context = context
-        self.layers = wiring.layers_needed(client.name) or {StreamLayer.HIGH}
+        self.layers = wiring.layers_needed(client.name) or (StreamLayer.HIGH,)
         rates = platform.video_rates(context)
         self.rate_state = platform.make_sender_state(context)
         self._encoder_efficiency = platform.encoder_efficiency
@@ -364,7 +364,7 @@ class ModelVideoStreamer(_SenderBase):
         super().__init__(client, wiring)
         self.spec = spec
         self.context = context
-        self.layers = wiring.layers_needed(client.name) or {StreamLayer.HIGH}
+        self.layers = wiring.layers_needed(client.name) or (StreamLayer.HIGH,)
         self._rates = platform.video_rates(context)
         self.rate_state = platform.make_sender_state(context)
         self.rng = rng if rng is not None else np.random.default_rng(0)

@@ -9,6 +9,7 @@ sessions through it.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -119,7 +120,10 @@ class Testbed:
             host=host,
             device=device,
             platform_name=platform_name,
-            rng=np.random.default_rng(self.config.seed + hash(name) % 1000),
+            # crc32, not hash(): str hashes are salted per interpreter.
+            rng=np.random.default_rng(
+                self.config.seed + zlib.crc32(name.encode()) % 1000
+            ),
             view=view,
             camera_on=camera_on,
             screen_on=screen_on,

@@ -261,12 +261,17 @@ class SessionWiring:
         address = self.service_address[client_name]
         return EndpointKey(address.ip, address.port, "udp")
 
-    def layers_needed(self, sender: str) -> Set[StreamLayer]:
-        """Which simulcast layers any receiver subscribes to."""
+    def layers_needed(self, sender: str) -> Tuple[StreamLayer, ...]:
+        """Which simulcast layers any receiver subscribes to.
+
+        In ``StreamLayer`` order: streamers schedule their layers' work
+        in this order, and a set of str-valued layers would iterate in
+        a per-interpreter (hash-salted) order.
+        """
         needed: Set[StreamLayer] = set()
-        for _receiver, by_sender in self.subscriptions.items():
+        for by_sender in self.subscriptions.values():
             needed.update(by_sender.get(sender, []))
-        return needed
+        return tuple(layer for layer in StreamLayer if layer in needed)
 
     def video_flow(self, sender: str, layer: StreamLayer) -> str:
         """Flow id of a sender's video layer in this session."""

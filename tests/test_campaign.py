@@ -1,6 +1,9 @@
 """Campaign orchestration: specs, store, runner, aggregation, CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -383,6 +386,43 @@ class TestSerializationHelpers:
         assert clone.with_seed(99).seed == 99
 
 
+#: Runs one smoke-scale mobile cell inline into the store at argv[1]
+#: and prints its content key.
+MOBILE_CELL_SCRIPT = """
+import sys
+from repro.campaign import (SMOKE_SCALE, CampaignSpec, ScenarioSpec,
+                            open_store, run_campaign)
+spec = CampaignSpec(name="hashseed", scenarios=[ScenarioSpec(
+    "mobile", {"platform": ("meet",), "scenario": ("LM-Video-View",)})],
+    scale=SMOKE_SCALE, master_seed=12345)
+run_campaign(spec, sys.argv[1], workers=1)
+records = open_store(sys.argv[1]).cell_records()
+print([record.content_key() for record in records])
+"""
+
+
+def test_mobile_cell_content_ignores_python_hash_seed(tmp_path):
+    """A mobile cell must not depend on per-interpreter str hashing.
+
+    The phones' rng seeds and the order streamers encode simulcast
+    layers in (gallery view with cameras on) both once followed it.
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    keys = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        store = str(tmp_path / f"mobile-{hash_seed}.jsonl")
+        done = subprocess.run(
+            [sys.executable, "-c", MOBILE_CELL_SCRIPT, store],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        keys.append(done.stdout)
+    assert "'ok'" in keys[0]
+    assert keys[0] == keys[1]
+
+
 class TestCampaignCli:
     def test_run_status_report(self, tmp_path, capsys):
         store = str(tmp_path / "cli.jsonl")
@@ -391,6 +431,7 @@ class TestCampaignCli:
         assert main(smoke) == 0
         out = capsys.readouterr().out
         assert "5 executed" in out
+        assert "blas: cells run inline with the default BLAS threads" in out
 
         assert main(smoke + ["--resume"]) == 0
         out = capsys.readouterr().out

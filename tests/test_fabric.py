@@ -9,12 +9,16 @@ dead processes, not mocks.
 import json
 import os
 import random
+import time
 
 import pytest
 
 from repro.campaign import (
+    SMOKE_SCALE,
     CampaignScheduler,
+    CampaignSpec,
     FabricConfig,
+    ScenarioSpec,
     StreamingAggregator,
     build_report,
     calibration_campaign,
@@ -22,15 +26,28 @@ from repro.campaign import (
     run_campaign,
     watch_store,
 )
+from repro.campaign.fabric import executors as executors_module
 from repro.campaign.fabric.executors import (
+    CellDone,
     InlineExecutor,
     LocalWorkerFabricExecutor,
     ProcessPoolFabricExecutor,
+    WorkUnit,
+    describe_worker_blas,
+    limit_blas_threads,
     make_executor,
+    openblas_libraries,
+    worker_blas_threads,
 )
 from repro.campaign.fabric.scheduler import CHECKPOINT_NAME
+from repro.campaign.registry import ADAPTERS, ScenarioAdapter
 from repro.cli import main
 from repro.errors import CampaignError
+
+
+def openblas_threads():
+    """Library file name -> thread count of each mapped OpenBLAS."""
+    return {name: get() for name, get, _ in openblas_libraries()}
 
 
 def ok_metrics(store_path):
@@ -57,15 +74,89 @@ class TestExecutors:
     ])
     def test_executors_produce_identical_cells(self, tmp_path, executor,
                                                workers):
-        spec = calibration_campaign(cells=8, name="equiv")
+        # The qoe cell calls BLAS (alignment and ViSQOL matmuls), so the
+        # workers' BLAS thread limit is covered by the equality too.
+        calibration = calibration_campaign(cells=8)
+        spec = CampaignSpec(
+            name="equiv",
+            scenarios=calibration.scenarios + (
+                ScenarioSpec("qoe", {"platform": ("zoom",),
+                                     "motion": ("high",)}),
+            ),
+            scale=SMOKE_SCALE,
+            master_seed=calibration.master_seed,
+        )
         path = str(tmp_path / f"{executor}.jsonl")
         summary = run_campaign(
             spec, path, workers=workers, executor=executor
         )
-        assert summary.executed == 8 and summary.failed == 0
+        assert summary.executed == 9 and summary.failed == 0
         reference = str(tmp_path / "ref.jsonl")
         run_campaign(spec, reference, workers=1)
         assert ok_metrics(path) == ok_metrics(reference)
+
+    @pytest.mark.parametrize("name", ["pool", "spawn"])
+    def test_workers_get_their_share_of_blas_threads(self, monkeypatch,
+                                                     name):
+        parent = openblas_threads()
+        if not parent:
+            pytest.skip("no OpenBLAS library mapped")
+        noop = ADAPTERS["noop"]
+        # Workers fork from this process, so they see the patched kind.
+        monkeypatch.setitem(ADAPTERS, "noop", ScenarioAdapter(
+            "noop", noop.defaults,
+            lambda params, scale: {"threads": openblas_threads()},
+        ))
+        unit = self._unit()
+        payload = dict(unit.payloads[0], scale=SMOKE_SCALE.to_dict())
+        executor = make_executor(name, 2)
+        events = []
+        try:
+            executor.submit(WorkUnit(unit.unit_id, (payload,)))
+            deadline = time.monotonic() + 60.0
+            while executor.outstanding() and time.monotonic() < deadline:
+                events.extend(executor.poll(0.25))
+        finally:
+            executor.shutdown()
+        [done] = events
+        assert isinstance(done, CellDone), done
+        assert done.result["status"] == "ok", done.result
+        share = worker_blas_threads(2)
+        assert done.result["metrics"]["threads"] == {
+            library: share for library in parent
+        }
+        assert openblas_threads() == parent
+
+    def test_blas_limit_is_a_noop_without_openblas(self, tmp_path,
+                                                   monkeypatch):
+        parent = openblas_threads()
+        maps = tmp_path / "maps"
+        maps.write_text(
+            "7f00-7f01 r-xp 00000000 fe:00 12 /usr/lib/libc.so.6\n"
+            "7f02-7f03 rw-p 00000000 00:00 0\n"
+        )
+        monkeypatch.setattr(executors_module, "PROC_MAPS", str(maps))
+        assert limit_blas_threads(2) == (worker_blas_threads(2), ())
+        assert "no OpenBLAS library found" in describe_worker_blas("pool", 2)
+        monkeypatch.setattr(executors_module, "PROC_MAPS",
+                            str(tmp_path / "absent"))
+        assert limit_blas_threads(2) == (worker_blas_threads(2), ())
+        monkeypatch.undo()
+        assert openblas_threads() == parent
+
+    def test_blas_share_follows_cores_and_workers(self, monkeypatch):
+        monkeypatch.setattr(executors_module, "usable_cores", lambda: 8)
+        assert [worker_blas_threads(w) for w in (1, 2, 3, 8, 16)] == \
+            [8, 4, 2, 1, 1]
+        monkeypatch.setattr(executors_module, "openblas_libraries",
+                            lambda: [("libopenblas.so", None, None)])
+        assert describe_worker_blas("spawn", 4) == (
+            "blas: each of 4 workers limited to 2 BLAS thread(s) in "
+            "libopenblas.so"
+        )
+        assert describe_worker_blas("auto", 1) == (
+            "blas: cells run inline with the default BLAS threads"
+        )
 
     def test_invalid_worker_count_rejected(self, tmp_path):
         with pytest.raises(CampaignError):
@@ -75,8 +166,6 @@ class TestExecutors:
             )
 
     def _unit(self, unit_id=0):
-        from repro.campaign.fabric.executors import WorkUnit
-
         payload = {
             "cell_id": f"noop:index={unit_id}", "kind": "noop",
             "params": {"index": unit_id}, "seed": 1,

@@ -48,7 +48,7 @@ class TestVideoStreamer:
         host.attach_camera(LowMotionFeed(SPEC))
         streamer = VideoStreamer(host, wiring, platform, context, SPEC)
         # The gallery receiver subscribes LOW, the fullscreen one HIGH.
-        assert streamer.layers == {StreamLayer.HIGH, StreamLayer.LOW}
+        assert streamer.layers == (StreamLayer.HIGH, StreamLayer.LOW)
 
     def test_streams_frames_at_fps(self, wired):
         testbed, platform, wiring, host, gallery, full, context = wired
