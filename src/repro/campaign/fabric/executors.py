@@ -33,13 +33,18 @@ OpenBLAS library's ``set_num_threads`` entry point, because the
 workers are forked after numpy has loaded OpenBLAS and read its
 environment.  The ``inline`` executor and in-process callers keep the
 default threads.
+
+Every such worker also ends itself once its campaign parent is gone
+(:func:`worker_start`).  A SIGKILLed parent runs no cleanup, so its
+workers would otherwise be reparented to init and stay parked on their
+queues forever.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-import queue as queue_module
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -55,6 +60,9 @@ from ..runner import execute_cell, execute_unit
 
 #: Where a Linux process lists the files it has mapped.
 PROC_MAPS = "/proc/self/maps"
+
+#: Seconds between a worker's checks that its campaign parent lives.
+ORPHAN_CHECK_S = 0.5
 
 #: OpenBLAS thread-count entry points, ``{verb}`` being ``set`` or
 #: ``get``, most specific first: scipy-openblas wheels (numpy's ILP64
@@ -120,9 +128,10 @@ def openblas_libraries() -> List[Tuple[str, Callable[..., Any],
 def limit_blas_threads(workers: int) -> "Tuple[int, Tuple[str, ...]]":
     """Size this process's OpenBLAS pools to its share of the cores.
 
-    Runs first in every ``pool`` and ``spawn`` worker.  Returns the
-    thread count and the file names of the libraries now held to it; a
-    process with no OpenBLAS mapped is left alone.
+    Runs first in every ``pool`` and ``spawn`` worker, through
+    :func:`worker_start`.  Returns the thread count and the file names
+    of the libraries now held to it; a process with no OpenBLAS mapped
+    is left alone.
     """
     threads = worker_blas_threads(workers)
     limited = []
@@ -133,6 +142,28 @@ def limit_blas_threads(workers: int) -> "Tuple[int, Tuple[str, ...]]":
             set_threads(threads)
         limited.append(name)
     return threads, tuple(limited)
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    while os.getppid() == parent_pid:
+        time.sleep(ORPHAN_CHECK_S)
+    os._exit(1)
+
+
+def worker_start(workers: int, parent_pid: int) -> None:
+    """Run first in every ``pool`` and ``spawn`` worker process.
+
+    Limits BLAS to the worker's share of the cores and starts a daemon
+    thread that exits the worker within :data:`ORPHAN_CHECK_S` of its
+    parent ``parent_pid`` dying.  The parent passes its own pid: one
+    read here would already be init's if the parent died while this
+    worker was starting.
+    """
+    limit_blas_threads(workers)
+    threading.Thread(
+        target=_exit_when_orphaned, args=(parent_pid,),
+        name="orphan-check", daemon=True,
+    ).start()
 
 
 @dataclass(frozen=True)
@@ -278,8 +309,8 @@ class ProcessPoolFabricExecutor(ExecutorBase):
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
-                initializer=limit_blas_threads,
-                initargs=(self.workers,),
+                initializer=worker_start,
+                initargs=(self.workers, os.getpid()),
             )
 
     def submit(self, unit: WorkUnit) -> None:
@@ -390,14 +421,14 @@ class ProcessPoolFabricExecutor(ExecutorBase):
 
 
 def _local_worker_main(worker_id: int, task_queue, result_queue,
-                       workers: int) -> None:
+                       workers: int, parent_pid: int) -> None:
     """Worker loop: pull a unit, report per-cell progress, repeat.
 
     Runs in a child process, one of ``workers``.  The ``claim`` message
     before each cell is what lets the parent requeue precisely the
     unreported cells when this process dies mid-unit.
     """
-    limit_blas_threads(workers)
+    worker_start(workers, parent_pid)
     while True:
         item = task_queue.get()
         if item is None:
@@ -443,7 +474,12 @@ class LocalWorkerFabricExecutor(ExecutorBase):
 
     def start(self) -> None:
         if self._result_queue is None:
-            self._result_queue = self._ctx.Queue()
+            # A SimpleQueue writes in the worker's own thread, so the
+            # shared write lock is free again before the next cell
+            # runs.  A Queue's feeder thread can still hold it when a
+            # cell SIGKILLs its worker, and every other worker's
+            # results then block on the dead worker's lock forever.
+            self._result_queue = self._ctx.SimpleQueue()
             self._slots = [self._spawn_slot() for _ in range(self.workers)]
 
     def _spawn_slot(self) -> _WorkerSlot:
@@ -452,7 +488,8 @@ class LocalWorkerFabricExecutor(ExecutorBase):
         task_queue = self._ctx.Queue()
         process = self._ctx.Process(
             target=_local_worker_main,
-            args=(worker_id, task_queue, self._result_queue, self.workers),
+            args=(worker_id, task_queue, self._result_queue, self.workers,
+                  os.getpid()),
             daemon=True,
         )
         process.start()
@@ -483,14 +520,13 @@ class LocalWorkerFabricExecutor(ExecutorBase):
 
     def _drain(self, timeout: float) -> List[Event]:
         events: List[Event] = []
-        block = timeout
-        while True:
-            try:
-                message = self._result_queue.get(timeout=block)
-            except queue_module.Empty:
-                return events
-            block = 0.0  # drain whatever else is ready without waiting
-            tag, worker_id, unit_id, body = message
+        results = self._result_queue
+        # SimpleQueue.get has no timeout; wait on its read end, as
+        # concurrent.futures.process does.
+        if not results._reader.poll(timeout):
+            return events
+        while not results.empty():
+            tag, worker_id, unit_id, body = results.get()
             slot = self._slot_by_worker(worker_id)
             if tag == "claim":
                 if slot is not None:
@@ -504,6 +540,7 @@ class LocalWorkerFabricExecutor(ExecutorBase):
                 if slot is not None and slot.unit is not None \
                         and slot.unit.unit_id == unit_id:
                     slot.unit = None
+        return events
 
     def poll(self, timeout: float = 0.25) -> List[Event]:
         self.start()

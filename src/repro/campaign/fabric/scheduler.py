@@ -335,10 +335,9 @@ class CampaignScheduler:
 
         try:
             # A quarantined cell normally already has its poison record
-            # (appended before the checkpoint was saved); if the record
-            # was lost to a crash between append and fsync, re-settle
-            # it so the campaign still terminates with one final
-            # outcome per cell.
+            # (appended just after the checkpoint was saved); if a
+            # crash lost the record, re-settle it so the campaign
+            # still terminates with one final outcome per cell.
             for cell in cells:
                 if (
                     cell.cell_id in self._quarantined
@@ -526,13 +525,15 @@ class CampaignScheduler:
                 kills = self._worker_kills.get(cell_id, 0) + 1
                 self._worker_kills[cell_id] = kills
                 if kills >= config.poison_threshold:
-                    record_result(self._poison_payload(payload))
                     self._quarantined.add(cell_id)
                     summary.quarantined += 1
-                    # Checkpoint *now*: the quarantine verdict must
-                    # survive a SIGKILL, or a resume would burn fresh
-                    # workers rediscovering the poison.
+                    # Checkpoint the verdict *before* its record: it
+                    # must survive a SIGKILL, or a resume would burn
+                    # fresh workers rediscovering the poison.  A kill
+                    # between the two leaves a quarantined cell with
+                    # no record, which the resume re-settles.
                     self._save_checkpoint(store)
+                    record_result(self._poison_payload(payload))
                     continue
             attempts = self._attempts.get(cell_id, 0) + 1
             self._attempts[cell_id] = attempts

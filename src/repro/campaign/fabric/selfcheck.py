@@ -15,6 +15,8 @@ store backend.
    ``python -m repro campaign run`` subprocess (pool executor, crash
    flags absent so one worker SIGKILLs itself mid-run), poll the store,
    and SIGKILL the whole run once ``kill_after`` cells have landed.
+   The run's worker processes, recorded just before the kill, must all
+   exit on their own within ``ORPHAN_WAIT_S``.
 3. **Resume** -- run the subprocess again with ``--resume`` and let it
    finish.
 4. **Compare** -- latest-ok content keys per cell
@@ -34,7 +36,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...errors import CampaignError
 from ..grids import calibration_campaign
@@ -49,6 +51,9 @@ STORE_NAMES = {
     "shards": "store.shards",
 }
 
+#: Seconds a SIGKILLed run's workers get to notice and exit.
+ORPHAN_WAIT_S = 5.0
+
 
 @dataclass
 class SelfCheckResult:
@@ -61,6 +66,10 @@ class SelfCheckResult:
         killed_mid_grid: Whether the kill landed before completion.
         resumed_executed: Cells the resumed run still had to execute.
         mismatches: Human-readable content differences (empty = pass).
+        worker_pids: The killed run's worker processes at the kill
+            (empty where ``/proc`` is absent).
+        orphaned_workers: Those still alive ``ORPHAN_WAIT_S`` after
+            the kill (empty = pass); the check kills them.
     """
 
     backend: str
@@ -69,11 +78,13 @@ class SelfCheckResult:
     killed_mid_grid: bool
     resumed_executed: int
     mismatches: List[str] = field(default_factory=list)
+    worker_pids: List[int] = field(default_factory=list)
+    orphaned_workers: List[int] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """Whether the interrupted store matched the reference."""
-        return not self.mismatches
+        """Store matched the reference and no worker outlived the kill."""
+        return not self.mismatches and not self.orphaned_workers
 
 
 def _ok_content(store_path: str) -> Dict[str, Tuple]:
@@ -84,6 +95,55 @@ def _ok_content(store_path: str) -> Dict[str, Tuple]:
         if record.ok:
             latest[record.cell_id] = record.content_key()
     return latest
+
+
+def _proc_stat(pid: int) -> Optional[List[str]]:
+    """Fields of ``/proc/<pid>/stat`` after the command name, or None.
+
+    The first two are the process state and its parent's pid.
+    """
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError:
+        return None
+    return text.rsplit(")", 1)[1].split()
+
+
+def _child_pids(pid: int) -> List[int]:
+    """Processes whose parent is ``pid`` (empty without ``/proc``)."""
+    try:
+        entries = os.listdir("/proc")
+    except OSError:
+        return []
+    children = []
+    for entry in entries:
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and int(stat[1]) == pid:
+                children.append(int(entry))
+    return sorted(children)
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs; an unreaped zombie has already exited."""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _orphans_after_kill(worker_pids: List[int]) -> List[int]:
+    """Workers still alive ``ORPHAN_WAIT_S`` after their parent died."""
+    deadline = time.monotonic() + ORPHAN_WAIT_S
+    alive = [pid for pid in worker_pids if _alive(pid)]
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.1)
+        alive = [pid for pid in alive if _alive(pid)]
+    for pid in alive:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except OSError:
+            pass
+    return alive
 
 
 def _subprocess_env() -> Dict[str, str]:
@@ -178,6 +238,7 @@ def run_selfcheck(
     deadline = time.monotonic() + deadline_s
     ok_at_kill = 0
     killed = False
+    worker_pids: List[int] = []
     while child.poll() is None:
         if time.monotonic() > deadline:
             child.kill()
@@ -188,11 +249,18 @@ def run_selfcheck(
             )
         ok_at_kill = _poll_ok_count(store_path)
         if ok_at_kill >= kill_after:
-            os.kill(child.pid, signal.SIGKILL)
-            killed = True
-            break
+            # Kill while workers run: a pool rebuilt after the crash
+            # cell has none until its next submit.
+            worker_pids = [
+                pid for pid in _child_pids(child.pid) if _alive(pid)
+            ]
+            if worker_pids or not os.path.isdir("/proc"):
+                os.kill(child.pid, signal.SIGKILL)
+                killed = True
+                break
         time.sleep(0.05)
     child.wait()
+    orphaned_workers = _orphans_after_kill(worker_pids)
 
     # 3. Resume to completion.
     resumed = _run_cli(spec_path, store_path, resume=True, env=env)
@@ -233,6 +301,8 @@ def run_selfcheck(
         killed_mid_grid=killed,
         resumed_executed=max(0, resumed_executed),
         mismatches=mismatches,
+        worker_pids=worker_pids,
+        orphaned_workers=orphaned_workers,
     )
 
 

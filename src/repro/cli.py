@@ -342,13 +342,18 @@ def cmd_campaign_selfcheck(args: argparse.Namespace) -> int:
         if result.ok:
             print(f"selfcheck[{backend}]: PASS -- {result.total} cells, "
                   f"SIGKILL {killed} at {result.ok_at_kill} ok, "
-                  "store content matches uninterrupted run")
+                  "store content matches uninterrupted run, "
+                  f"{len(result.worker_pids)} worker(s) exited with it")
         else:
             print(f"selfcheck[{backend}]: FAIL -- "
-                  f"{len(result.mismatches)} mismatching cells "
+                  f"{len(result.mismatches)} mismatching cells, "
+                  f"{len(result.orphaned_workers)} orphaned worker(s) "
                   f"(SIGKILL {killed} at {result.ok_at_kill} ok)")
             for mismatch in result.mismatches:
                 print(f"  {mismatch}")
+            if result.orphaned_workers:
+                print("  workers alive after the kill: "
+                      f"{result.orphaned_workers}")
             failures += 1
     for backend in backends:
         try:

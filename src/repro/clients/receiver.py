@@ -26,11 +26,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Fraction of a frame's fragments FEC/NACK recovery can absorb.
 DEFAULT_FEC_TOLERANCE = 0.2
 
-#: Process-wide default for deferred receiver decode (burst event
-#: core): park delivered frames and replay the batched decode at
-#: finalize.  Bit-identical either way; it only engages for watched
-#: flows with no per-frame sink, where decode outputs are unobservable
-#: until the recording is read.
+#: Process-wide default for deferred receiver decode: park delivered
+#: frames and replay the batched decode at finalize.  Bit-identical
+#: either way; it only engages for watched flows with no per-frame
+#: sink, where decode outputs are unobservable until the recording is
+#: read.
 DEFER_DECODE_DEFAULT = True
 
 

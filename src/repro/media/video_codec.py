@@ -539,11 +539,6 @@ class VideoCodec:
         self.rate_controller.update(size_bytes * 8.0, keyframe)
         return encoded
 
-    def _reconstruct_plane(
-        self, encoded: EncodedFrame, reference: Optional[np.ndarray]
-    ) -> np.ndarray:
-        return _reconstruct_from_sparse(encoded, reference)
-
 
 class VideoDecoder:
     """Stateful decoder: freezes on gaps, resyncs on keyframes.
@@ -817,7 +812,7 @@ class VideoDecoder:
         return self.last_frame
 
     # ------------------------------------------------------------- #
-    # Deferred decode (burst event core, receiver side).
+    # Deferred decode (receiver side).
     # ------------------------------------------------------------- #
 
     def materialise(self) -> None:

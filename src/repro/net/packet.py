@@ -52,19 +52,6 @@ class PacketKind(str, enum.Enum):
 _packet_ids = itertools.count(1)
 
 
-def reserve_packet_ids(count: int) -> int:
-    """Claim ``count`` consecutive packet ids and return the first.
-
-    Burst commits account for whole trains without constructing
-    :class:`Packet` objects; reserving the id block keeps the global
-    counter exactly where the equivalent per-packet constructor calls
-    would have left it, so ids stay bit-identical across code paths.
-    """
-    global _packet_ids
-    start = next(_packet_ids)
-    _packet_ids = itertools.count(start + count)
-    return start
-
 #: Hoisted enum singleton: ``Packet.fast`` runs per media fragment and
 #: the class-attribute chain is measurable there.
 _UDP = Protocol.UDP
@@ -90,9 +77,9 @@ class Packet:
             disappears from the hot path).
         wire_bytes: Total on-the-wire size including header overhead;
             computed once at construction.
-        metadata: Free-form annotations (feedback reports, probe ids,
-            burst markers...).  Allocated lazily on first access --
-            media packets never touch it.
+        metadata: Free-form annotations (feedback reports, probe
+            ids...).  Allocated lazily on first access -- media
+            packets never touch it.
     """
 
     __slots__ = (

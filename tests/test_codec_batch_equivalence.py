@@ -31,7 +31,6 @@ from repro.media.audio_codec import (
 )
 from repro.media.feeds import HighMotionFeed, LowMotionFeed, StaticFeed
 from repro.media.frames import FrameSpec
-from repro.media.transport import fragment_frame, fragment_frames
 from repro.media.video_codec import (
     BLOCK,
     VideoCodec,
@@ -530,24 +529,6 @@ class TestBlockKernelProperties:
         assert settled.values.size == 0
         num_blocks = (settled.shape[0] // BLOCK) * (settled.shape[1] // BLOCK)
         assert settled.size_bytes == int(np.ceil((num_blocks + 256) / 8.0))
-
-
-class TestTransportBatch:
-    def test_fragment_frames_matches_per_frame(self):
-        frames = ["a", "b", "c"]
-        sizes = [2500, 0, 1200]
-        indices = [7, 8, 9]
-        batched = fragment_frames(frames, sizes, indices)
-        for frame, size, index, fragments in zip(
-            frames, sizes, indices, batched
-        ):
-            assert fragments == fragment_frame(frame, size, index)
-
-    def test_fragment_frames_length_mismatch(self):
-        from repro.errors import MediaError
-
-        with pytest.raises(MediaError):
-            fragment_frames(["a"], [1, 2], [0])
 
 
 # --------------------------------------------------------------------- #

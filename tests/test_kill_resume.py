@@ -10,11 +10,35 @@ The shards backend is covered by the CI selfcheck step; tier-1 keeps
 to jsonl + sqlite so the suite stays fast.
 """
 
+import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
 from repro.campaign import run_gc_selfcheck, run_selfcheck
+from repro.campaign.fabric.selfcheck import (
+    _child_pids,
+    _orphans_after_kill,
+    _subprocess_env,
+)
+
+HAS_PROC = os.path.isdir("/proc")
+
+#: Starts an executor's workers, reports ready, then waits to be killed.
+_EXECUTOR_PARENT = """
+import sys, time
+from repro.campaign.fabric.executors import WorkUnit, make_executor
+executor = make_executor(sys.argv[1], 2)
+executor.start()
+for unit_id in range(2):
+    executor.submit(WorkUnit(unit_id, ()))
+while executor.outstanding():
+    executor.poll()
+print("ready", flush=True)
+time.sleep(120)
+"""
 
 
 @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
@@ -30,6 +54,9 @@ def test_kill_mid_grid_then_resume_matches_reference(tmp_path, backend):
         "campaign finished before the kill landed; selfcheck proved nothing"
     )
     assert result.ok, f"kill/resume mismatches: {result.mismatches}"
+    if HAS_PROC:
+        assert result.worker_pids, "no worker processes seen at the kill"
+    assert result.orphaned_workers == []
     assert result.total == 11  # the requested cells plus the crash cell
     assert result.resumed_executed >= 1
 
@@ -49,3 +76,20 @@ def test_gc_killed_in_crash_window_changes_nothing(tmp_path, backend):
     )
     assert result.ok, f"gc atomicity violations: {result.mismatches}"
     assert result.errors_dropped >= 1
+
+
+@pytest.mark.skipif(not HAS_PROC, reason="worker pids are read from /proc")
+@pytest.mark.parametrize("executor", ["pool", "spawn"])
+def test_workers_exit_when_parent_is_sigkilled(executor):
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _EXECUTOR_PARENT, executor],
+        env=_subprocess_env(), stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        assert parent.stdout.readline().strip() == "ready"
+        workers = _child_pids(parent.pid)
+        assert workers, "the executor started no worker processes"
+    finally:
+        parent.kill()
+        parent.wait()
+    assert _orphans_after_kill(workers) == []
