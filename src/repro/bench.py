@@ -396,9 +396,10 @@ def bench_campaign_fabric(profile: BenchProfile) -> Dict[str, float]:
 
     Three timings of the same deterministic cells: a raw
     ``execute_cell`` loop (no scheduler, no store), the inline fabric
-    (scheduler + JSONL store, one process), and the process pool with
-    two workers.  ``inline_efficiency`` -- raw wall over inline wall,
-    measured in one process on identical cells -- is the
+    (scheduler + JSONL store, one process), and the worker pool with
+    two workers, which pays a parent round trip per cell.
+    ``inline_efficiency`` -- raw wall over inline wall, measured in one
+    process on identical cells -- is the
     hardware-independent ratio the CI gate tracks: it decays towards 0
     if per-cell scheduling or store appends grow, and sits near 1 while
     the fabric stays cheap relative to a ~2 ms cell.

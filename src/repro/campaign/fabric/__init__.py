@@ -1,37 +1,33 @@
-"""The distributed campaign fabric.
+"""The campaign fabric.
 
 Everything that turns a campaign spec into a finished store when the
 grid is too big for one process and one sitting:
 
 * :mod:`~repro.campaign.fabric.executors` -- where cells run: inline,
-  a crash-recovering process pool, or N owned local worker processes
-  modeling multi-machine dispatch,
-* :mod:`~repro.campaign.fabric.scheduler` -- sharding, dispatch,
-  per-cell retry budgets, timeouts, durable checkpoints,
+  or a pool of owned worker processes fed one cell at a time,
+* :mod:`~repro.campaign.fabric.scheduler` -- dispatch, per-cell retry
+  budgets, timeouts, durable checkpoints,
 * :mod:`~repro.campaign.fabric.streaming` -- incremental folding of
   arriving records into live paper tables and progress,
-* :mod:`~repro.campaign.fabric.watch` -- read-only live status over
-  any store backend,
+* :mod:`~repro.campaign.fabric.watch` -- read-only live status of a
+  store another process writes,
 * :mod:`~repro.campaign.fabric.selfcheck` -- the kill/resume
-  equivalence proof CI runs per backend,
+  equivalence proof CI runs,
 * :mod:`~repro.campaign.fabric.faults` -- the deterministic
   fault-injection plane (seeded fault plans, cross-process
   exactly-N-times firing, deterministic retry backoff),
 * :mod:`~repro.campaign.fabric.chaos` -- the chaos matrix: every
-  fault class against every backend, judged by bit-identity with a
-  clean reference run.
+  fault class, judged by bit-identity with a clean reference run.
 """
 
 from .chaos import FAULT_CLASSES, ChaosCaseResult, run_chaos_case, run_chaos_matrix
 from .executors import (
     EXECUTORS,
     CellDone,
+    CellFailed,
     ExecutorBase,
     InlineExecutor,
-    LocalWorkerFabricExecutor,
-    ProcessPoolFabricExecutor,
-    UnitFailed,
-    WorkUnit,
+    WorkerPoolExecutor,
     make_executor,
 )
 from .faults import FaultPlan, FaultSpec, backoff_delay
@@ -39,7 +35,6 @@ from .scheduler import CampaignScheduler, FabricConfig
 from .selfcheck import (
     GcSelfCheckResult,
     SelfCheckResult,
-    run_all_selfchecks,
     run_gc_selfcheck,
     run_selfcheck,
 )
@@ -56,6 +51,7 @@ __all__ = [
     "FAULT_CLASSES",
     "CampaignScheduler",
     "CellDone",
+    "CellFailed",
     "ChaosCaseResult",
     "ExecutorBase",
     "FabricConfig",
@@ -63,13 +59,10 @@ __all__ = [
     "FaultSpec",
     "GcSelfCheckResult",
     "InlineExecutor",
-    "LocalWorkerFabricExecutor",
-    "ProcessPoolFabricExecutor",
     "ProgressSnapshot",
     "SelfCheckResult",
     "StreamingAggregator",
-    "UnitFailed",
-    "WorkUnit",
+    "WorkerPoolExecutor",
     "backoff_delay",
     "load_fabric_health",
     "make_executor",
@@ -79,6 +72,5 @@ __all__ = [
     "run_chaos_matrix",
     "run_gc_selfcheck",
     "run_selfcheck",
-    "run_all_selfchecks",
     "watch_store",
 ]

@@ -1,28 +1,22 @@
-"""Executor abstraction: where and how work units actually run.
+"""Executor abstraction: where and how cells actually run.
 
-The scheduler speaks one protocol -- ``submit(WorkUnit)`` then
-``poll()`` for events -- and three executors implement it:
+The scheduler speaks one protocol -- ``submit(payload)`` then
+``poll()`` for events -- and two executors implement it:
 
 * :class:`InlineExecutor` -- every cell in-process (pure, debuggable,
   no forks; the ``workers == 1`` path).
-* :class:`ProcessPoolFabricExecutor` -- a
-  :class:`~concurrent.futures.ProcessPoolExecutor` with crash
-  recovery: a dead worker (OOM, segfault, SIGKILL) surfaces as
-  ``UnitFailed`` events for the in-flight units and a fresh pool,
-  never as an exception that aborts the campaign.
-* :class:`LocalWorkerFabricExecutor` -- N long-lived worker processes
-  the executor owns outright, fed one unit at a time over per-worker
-  queues with per-cell progress reporting.  This is the shape of
-  multi-machine dispatch: the parent knows exactly which unit each
-  worker holds, detects death by liveness (not by a shared pool
-  breaking), enforces per-cell timeouts by killing the worker, and
-  requeues only the cells the worker never reported.
+* :class:`WorkerPoolExecutor` (``pool``) -- N long-lived worker
+  processes the executor owns outright, each fed one cell at a time
+  over its own queue.  The parent knows exactly which cell each worker
+  holds, detects death by liveness, enforces per-cell timeouts by
+  killing that one worker, and fails only the cell the dead worker
+  held.
 
 Executors never decide policy: they report what happened and the
 scheduler owns retries, error records and checkpointing.
 
-Every ``pool`` and ``spawn`` worker process sizes the BLAS thread pool
-it inherits to its share of the cores, ``max(1, cores // workers)``
+Every ``pool`` worker process sizes the BLAS thread pool it inherits
+to its share of the cores, ``max(1, cores // workers)``
 (:func:`limit_blas_threads`).  A forked worker otherwise keeps an
 OpenBLAS pool sized to every core, so N workers run N x cores BLAS
 threads on the cores and fight over them: on a 2-vCPU VM with 2 pool
@@ -47,15 +41,13 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import multiprocessing
 
 from ...errors import CampaignError
-from ..runner import execute_cell, execute_unit
+from ..runner import execute_cell
 
 
 #: Where a Linux process lists the files it has mapped.
@@ -128,7 +120,7 @@ def openblas_libraries() -> List[Tuple[str, Callable[..., Any],
 def limit_blas_threads(workers: int) -> "Tuple[int, Tuple[str, ...]]":
     """Size this process's OpenBLAS pools to its share of the cores.
 
-    Runs first in every ``pool`` and ``spawn`` worker, through
+    Runs first in every ``pool`` worker, through
     :func:`worker_start`.  Returns the thread count and the file names
     of the libraries now held to it; a process with no OpenBLAS mapped
     is left alone.
@@ -151,7 +143,7 @@ def _exit_when_orphaned(parent_pid: int) -> None:
 
 
 def worker_start(workers: int, parent_pid: int) -> None:
-    """Run first in every ``pool`` and ``spawn`` worker process.
+    """Run first in every ``pool`` worker process.
 
     Limits BLAS to the worker's share of the cores and starts a daemon
     thread that exits the worker within :data:`ORPHAN_CHECK_S` of its
@@ -167,39 +159,26 @@ def worker_start(workers: int, parent_pid: int) -> None:
 
 
 @dataclass(frozen=True)
-class WorkUnit:
-    """One shard of the grid: the unit executors dispatch and retry."""
-
-    unit_id: int
-    payloads: "tuple[Dict[str, Any], ...]"
-
-
-@dataclass(frozen=True)
 class CellDone:
     """One cell finished (ok or error-status record payload)."""
 
-    unit_id: int
     result: Dict[str, Any]
 
 
 @dataclass(frozen=True)
-class UnitFailed:
-    """A unit's executor died under it (crash/timeout), not the cell.
+class CellFailed:
+    """A cell's executor failed under it (crash/timeout), not the cell.
 
-    ``pending`` holds the payloads that produced no result; the
-    scheduler requeues or error-records them by retry budget.
+    ``payload`` produced no result; the scheduler requeues or
+    error-records it by retry budget.
 
-    ``worker_death`` marks failures where the worker *executing this
-    unit* actually died (crash or timeout-kill), as opposed to
-    collateral damage (a shared pool resetting under an innocent unit)
-    or an orderly abandon.  The scheduler's poison-cell accounting
-    attributes a kill to the unit's first unfinished cell only when
-    this is set, so innocents never accumulate kills toward
-    quarantine.
+    ``worker_death`` marks failures where the worker running this cell
+    died (crash or timeout-kill), as opposed to an orderly abandon.
+    The scheduler's poison-cell accounting counts only these, so an
+    abandoned cell never accumulates kills toward quarantine.
     """
 
-    unit_id: int
-    pending: "tuple[Dict[str, Any], ...]"
+    payload: Dict[str, Any]
     reason: str
     worker_death: bool = False
 
@@ -208,7 +187,7 @@ Event = Any
 
 
 class ExecutorBase:
-    """Common surface: submit units, poll events, shut down."""
+    """Common surface: submit cells, poll events, shut down."""
 
     name = "base"
 
@@ -220,8 +199,8 @@ class ExecutorBase:
     def start(self) -> None:
         """Allocate worker resources."""
 
-    def submit(self, unit: WorkUnit) -> None:
-        """Enqueue one unit for execution."""
+    def submit(self, payload: Dict[str, Any]) -> None:
+        """Enqueue one cell payload for execution."""
         raise NotImplementedError
 
     def poll(self, timeout: float = 0.25) -> List[Event]:
@@ -229,17 +208,17 @@ class ExecutorBase:
         raise NotImplementedError
 
     def outstanding(self) -> int:
-        """Units submitted but not yet fully reported."""
+        """Cells submitted but not yet reported."""
         raise NotImplementedError
 
-    def abandon(self) -> List["UnitFailed"]:
-        """Surrender every queued and in-flight unit.
+    def abandon(self) -> List[CellFailed]:
+        """Surrender every queued and in-flight cell.
 
-        Returns one ``UnitFailed`` per surrendered unit (with
+        Returns one ``CellFailed`` per surrendered cell (with
         ``worker_death=False`` -- this is an orderly handoff, not a
         crash) and forgets them, so the scheduler can resubmit the
-        pending payloads elsewhere.  Used by the crash-loop breaker
-        when it degrades a dying executor to ``inline``.
+        payloads elsewhere.  Used by the crash-loop breaker when it
+        degrades a dying executor to ``inline``.
         """
         raise NotImplementedError
 
@@ -255,191 +234,40 @@ class InlineExecutor(ExecutorBase):
     def __init__(self, workers: int = 1,
                  cell_timeout_s: Optional[float] = None) -> None:
         super().__init__(workers=1, cell_timeout_s=cell_timeout_s)
-        self._queue: Deque[WorkUnit] = deque()
+        self._queue: Deque[Dict[str, Any]] = deque()
 
-    def submit(self, unit: WorkUnit) -> None:
-        self._queue.append(unit)
+    def submit(self, payload: Dict[str, Any]) -> None:
+        self._queue.append(payload)
 
     def poll(self, timeout: float = 0.25) -> List[Event]:
         if not self._queue:
             return []
-        unit = self._queue.popleft()
-        return [
-            CellDone(unit.unit_id, execute_cell(payload))
-            for payload in unit.payloads
-        ]
+        return [CellDone(execute_cell(self._queue.popleft()))]
 
     def outstanding(self) -> int:
         return len(self._queue)
 
-    def abandon(self) -> List[UnitFailed]:
+    def abandon(self) -> List[CellFailed]:
         events = [
-            UnitFailed(unit.unit_id, unit.payloads, "executor abandoned")
-            for unit in self._queue
+            CellFailed(payload, "executor abandoned")
+            for payload in self._queue
         ]
         self._queue.clear()
         return events
 
 
-@dataclass
-class _TrackedFuture:
-    unit: WorkUnit
-    running_since: Optional[float] = None
+def _worker_main(worker_id: int, task_queue, result_queue,
+                 workers: int, parent_pid: int) -> None:
+    """Worker loop: take one cell, send back its record, repeat.
 
-
-class ProcessPoolFabricExecutor(ExecutorBase):
-    """Process-pool execution with worker-crash recovery.
-
-    ``concurrent.futures`` poisons *every* outstanding future with
-    :class:`BrokenProcessPool` when any worker dies; this executor
-    converts that into per-unit ``UnitFailed`` events and transparently
-    rebuilds the pool, so one OOM-killed cell costs one retry, not a
-    48-hour campaign.
-    """
-
-    name = "pool"
-
-    def __init__(self, workers: int = 2,
-                 cell_timeout_s: Optional[float] = None) -> None:
-        super().__init__(workers=workers, cell_timeout_s=cell_timeout_s)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._futures: Dict[Any, _TrackedFuture] = {}
-
-    def start(self) -> None:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=worker_start,
-                initargs=(self.workers, os.getpid()),
-            )
-
-    def submit(self, unit: WorkUnit) -> None:
-        self.start()
-        future = self._pool.submit(execute_unit, list(unit.payloads))
-        self._futures[future] = _TrackedFuture(unit)
-
-    def _fail_outstanding(self, reason: str,
-                          death_ids: "frozenset[int]" = frozenset()
-                          ) -> List[Event]:
-        # Only the units whose worker actually died (``death_ids``)
-        # carry worker_death; the rest are collateral of the shared
-        # pool resetting and must not count toward poison quarantine.
-        events: List[Event] = [
-            UnitFailed(t.unit.unit_id, t.unit.payloads, reason,
-                       worker_death=t.unit.unit_id in death_ids)
-            for t in self._futures.values()
-        ]
-        self._futures.clear()
-        return events
-
-    def _rebuild_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            # Reach into the pool to kill stuck workers before the
-            # fresh pool starts; shutdown() alone would block on (or
-            # leak) a worker that is looping or hung.
-            for process in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    process.kill()
-                except Exception:  # noqa: BLE001 - best-effort teardown
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-        self.start()
-
-    def poll(self, timeout: float = 0.25) -> List[Event]:
-        if not self._futures:
-            return []
-        done, _ = wait(
-            set(self._futures), timeout=timeout, return_when=FIRST_COMPLETED
-        )
-        events: List[Event] = []
-        broken = False
-        for future in done:
-            tracked = self._futures.pop(future)
-            unit = tracked.unit
-            try:
-                results = future.result()
-            except BrokenProcessPool:
-                broken = True
-                events.append(
-                    UnitFailed(unit.unit_id, unit.payloads,
-                               "worker process died", worker_death=True)
-                )
-            except Exception as exc:  # noqa: BLE001 - executor fault
-                events.append(
-                    UnitFailed(unit.unit_id, unit.payloads,
-                               f"executor failure: {exc}")
-                )
-            else:
-                events.extend(
-                    CellDone(unit.unit_id, result) for result in results
-                )
-        if broken:
-            events.extend(self._fail_outstanding("worker process died"))
-            self._rebuild_pool()
-            return events
-        if self.cell_timeout_s is not None:
-            now = time.monotonic()
-            expired: "set[int]" = set()
-            for future, tracked in self._futures.items():
-                if future.running() and tracked.running_since is None:
-                    tracked.running_since = now
-                if (
-                    tracked.running_since is not None
-                    and now - tracked.running_since > self.cell_timeout_s
-                ):
-                    expired.add(tracked.unit.unit_id)
-            if expired:
-                # One shared pool: killing the stuck worker kills the
-                # pool, so every in-flight unit restarts on the fresh
-                # one (their completed cells were already reported).
-                # Only the expired units count as worker deaths.
-                events.extend(self._fail_outstanding(
-                    f"cell timeout after {self.cell_timeout_s:.1f}s "
-                    "(pool reset)", death_ids=frozenset(expired)
-                ))
-                self._rebuild_pool()
-        return events
-
-    def outstanding(self) -> int:
-        return len(self._futures)
-
-    def abandon(self) -> List[UnitFailed]:
-        events = [
-            UnitFailed(t.unit.unit_id, t.unit.payloads,
-                       "executor abandoned")
-            for t in self._futures.values()
-        ]
-        self._futures.clear()
-        return events
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        self._futures.clear()
-
-
-def _local_worker_main(worker_id: int, task_queue, result_queue,
-                       workers: int, parent_pid: int) -> None:
-    """Worker loop: pull a unit, report per-cell progress, repeat.
-
-    Runs in a child process, one of ``workers``.  The ``claim`` message
-    before each cell is what lets the parent requeue precisely the
-    unreported cells when this process dies mid-unit.
+    Runs in a child process, one of ``workers``.
     """
     worker_start(workers, parent_pid)
     while True:
-        item = task_queue.get()
-        if item is None:
+        payload = task_queue.get()
+        if payload is None:
             break
-        unit_id, payloads = item
-        for payload in payloads:
-            result_queue.put(("claim", worker_id, unit_id,
-                              payload["cell_id"]))
-            record = execute_cell(payload)
-            result_queue.put(("done", worker_id, unit_id, record))
-        result_queue.put(("unit-done", worker_id, unit_id, None))
+        result_queue.put((worker_id, execute_cell(payload)))
 
 
 @dataclass
@@ -447,21 +275,20 @@ class _WorkerSlot:
     worker_id: int
     process: Any
     task_queue: Any
-    unit: Optional[WorkUnit] = None
-    reported: "set[str]" = field(default_factory=set)
-    last_progress: float = 0.0
+    payload: Optional[Dict[str, Any]] = None
+    started: float = 0.0
 
 
-class LocalWorkerFabricExecutor(ExecutorBase):
-    """N owned worker processes fed one unit at a time.
+class WorkerPoolExecutor(ExecutorBase):
+    """N owned worker processes, each fed one cell at a time.
 
-    Models multi-machine dispatch locally: explicit per-worker
-    assignment (the parent always knows which unit each worker holds),
-    liveness-based crash detection, per-cell timeouts enforced by
-    killing the worker, and a replacement worker spawned in its slot.
+    The parent always knows which cell each worker holds, so a worker
+    that dies, or that it kills for overrunning ``cell_timeout_s``,
+    fails that one cell and no other.  A replacement worker is spawned
+    in its slot.
     """
 
-    name = "spawn"
+    name = "pool"
 
     def __init__(self, workers: int = 2,
                  cell_timeout_s: Optional[float] = None) -> None:
@@ -469,7 +296,7 @@ class LocalWorkerFabricExecutor(ExecutorBase):
         self._ctx = multiprocessing.get_context()
         self._result_queue = None
         self._slots: List[_WorkerSlot] = []
-        self._pending: Deque[WorkUnit] = deque()
+        self._pending: Deque[Dict[str, Any]] = deque()
         self._next_worker_id = 0
 
     def start(self) -> None:
@@ -487,7 +314,7 @@ class LocalWorkerFabricExecutor(ExecutorBase):
         self._next_worker_id += 1
         task_queue = self._ctx.Queue()
         process = self._ctx.Process(
-            target=_local_worker_main,
+            target=_worker_main,
             args=(worker_id, task_queue, self._result_queue, self.workers,
                   os.getpid()),
             daemon=True,
@@ -496,27 +323,19 @@ class LocalWorkerFabricExecutor(ExecutorBase):
         return _WorkerSlot(worker_id=worker_id, process=process,
                            task_queue=task_queue)
 
-    def _slot_by_worker(self, worker_id: int) -> Optional[_WorkerSlot]:
-        for slot in self._slots:
-            if slot.worker_id == worker_id:
-                return slot
-        return None  # a replaced worker's stale message
-
-    def submit(self, unit: WorkUnit) -> None:
+    def submit(self, payload: Dict[str, Any]) -> None:
         self.start()
-        self._pending.append(unit)
+        self._pending.append(payload)
         self._dispatch()
 
     def _dispatch(self) -> None:
         for slot in self._slots:
             if not self._pending:
                 return
-            if slot.unit is None and slot.process.is_alive():
-                unit = self._pending.popleft()
-                slot.unit = unit
-                slot.reported = set()
-                slot.last_progress = time.monotonic()
-                slot.task_queue.put((unit.unit_id, list(unit.payloads)))
+            if slot.payload is None and slot.process.is_alive():
+                slot.payload = self._pending.popleft()
+                slot.started = time.monotonic()
+                slot.task_queue.put(slot.payload)
 
     def _drain(self, timeout: float) -> List[Event]:
         events: List[Event] = []
@@ -526,20 +345,11 @@ class LocalWorkerFabricExecutor(ExecutorBase):
         if not results._reader.poll(timeout):
             return events
         while not results.empty():
-            tag, worker_id, unit_id, body = results.get()
-            slot = self._slot_by_worker(worker_id)
-            if tag == "claim":
-                if slot is not None:
-                    slot.last_progress = time.monotonic()
-            elif tag == "done":
-                events.append(CellDone(unit_id, body))
-                if slot is not None:
-                    slot.reported.add(body["cell_id"])
-                    slot.last_progress = time.monotonic()
-            elif tag == "unit-done":
-                if slot is not None and slot.unit is not None \
-                        and slot.unit.unit_id == unit_id:
-                    slot.unit = None
+            worker_id, record = results.get()
+            events.append(CellDone(record))
+            for slot in self._slots:
+                if slot.worker_id == worker_id:
+                    slot.payload = None
         return events
 
     def poll(self, timeout: float = 0.25) -> List[Event]:
@@ -547,13 +357,12 @@ class LocalWorkerFabricExecutor(ExecutorBase):
         events = self._drain(timeout)
         now = time.monotonic()
         for index, slot in enumerate(self._slots):
-            reason = None
             if not slot.process.is_alive():
                 reason = "worker process died"
             elif (
-                slot.unit is not None
+                slot.payload is not None
                 and self.cell_timeout_s is not None
-                and now - slot.last_progress > self.cell_timeout_s
+                and now - slot.started > self.cell_timeout_s
             ):
                 reason = (
                     f"cell timeout after {self.cell_timeout_s:.1f}s "
@@ -561,19 +370,14 @@ class LocalWorkerFabricExecutor(ExecutorBase):
                 )
                 slot.process.kill()
                 slot.process.join(timeout=5.0)
-            if reason is None:
+            else:
                 continue
-            if slot.unit is not None:
-                pending = tuple(
-                    payload for payload in slot.unit.payloads
-                    if payload["cell_id"] not in slot.reported
-                )
-                # This worker owned the unit outright, so both death
-                # and timeout-kill are real worker deaths; cells run
-                # in order, so pending[0] is the cell it died under.
+            # A record the worker sent before it died is in the pipe
+            # by now; it settles the cell instead of a failure.
+            events.extend(self._drain(0.0))
+            if slot.payload is not None:
                 events.append(
-                    UnitFailed(slot.unit.unit_id, pending, reason,
-                               worker_death=True)
+                    CellFailed(slot.payload, reason, worker_death=True)
                 )
             self._slots[index] = self._spawn_slot()
         self._dispatch()
@@ -581,27 +385,19 @@ class LocalWorkerFabricExecutor(ExecutorBase):
 
     def outstanding(self) -> int:
         return len(self._pending) + sum(
-            1 for slot in self._slots if slot.unit is not None
+            1 for slot in self._slots if slot.payload is not None
         )
 
-    def abandon(self) -> List[UnitFailed]:
+    def abandon(self) -> List[CellFailed]:
+        in_flight = [slot.payload for slot in self._slots
+                     if slot.payload is not None]
         events = [
-            UnitFailed(unit.unit_id, unit.payloads, "executor abandoned")
-            for unit in self._pending
+            CellFailed(payload, "executor abandoned")
+            for payload in list(self._pending) + in_flight
         ]
         self._pending.clear()
         for slot in self._slots:
-            if slot.unit is None:
-                continue
-            pending = tuple(
-                payload for payload in slot.unit.payloads
-                if payload["cell_id"] not in slot.reported
-            )
-            events.append(
-                UnitFailed(slot.unit.unit_id, pending,
-                           "executor abandoned")
-            )
-            slot.unit = None
+            slot.payload = None
         return events
 
     def shutdown(self) -> None:
@@ -625,8 +421,7 @@ class LocalWorkerFabricExecutor(ExecutorBase):
 #: executor name -> class; ``auto`` resolves by worker count.
 EXECUTORS = {
     InlineExecutor.name: InlineExecutor,
-    ProcessPoolFabricExecutor.name: ProcessPoolFabricExecutor,
-    LocalWorkerFabricExecutor.name: LocalWorkerFabricExecutor,
+    WorkerPoolExecutor.name: WorkerPoolExecutor,
 }
 
 
@@ -634,7 +429,7 @@ def resolve_executor(name: str, workers: int) -> str:
     """The executor name a run uses (``auto`` picks by worker count)."""
     if name == "auto":
         name = InlineExecutor.name if workers <= 1 \
-            else ProcessPoolFabricExecutor.name
+            else WorkerPoolExecutor.name
     if name not in EXECUTORS:
         raise CampaignError(
             f"unknown executor {name!r}; expected one of "

@@ -23,7 +23,7 @@ site                      effect when fired
                           worker (until ``times`` is exhausted)
 ``gc.crash``              the process SIGKILLs itself inside the gc
                           compaction crash window (before the atomic
-                          replace / commit)
+                          replace)
 ========================  ====================================================
 
 Determinism and exactly-``times`` semantics come from *firing claims*:
@@ -35,7 +35,7 @@ fault exactly ``times`` times across the whole process tree, every
 run, regardless of scheduling interleavings.
 
 Activation crosses process boundaries by environment: the plan is
-saved to JSON and ``REPRO_FAULT_PLAN`` points at it, so pool/spawn
+saved to JSON and ``REPRO_FAULT_PLAN`` points at it, so pool
 workers and real CLI subprocesses all see the same plan.
 ``REPRO_FAULT_PARENT_PID`` records the orchestrating process; the
 worker-only sites (``cell.crash``, ``cell.hang``,
@@ -336,7 +336,7 @@ def activate(plan: FaultPlan, path: str) -> None:
     """Make ``plan`` the active plan for this process tree.
 
     Saves the plan to ``path``, points :data:`PLAN_ENV` at it (so
-    forked/spawned workers and CLI subprocesses inherit it) and marks
+    forked workers and CLI subprocesses inherit it) and marks
     this process as the parent for the worker-only sites.
     """
     global _ACTIVE, _ACTIVE_SOURCE
@@ -411,8 +411,8 @@ def fire_cell_faults(cell_id: str) -> None:
 def fire_store_append(store: Any, payload: Mapping[str, Any]) -> None:
     """Store-append hook: raise a transient I/O error when claimed.
 
-    ``eio`` / ``enospc`` raise before anything touches the backend;
-    ``torn`` first asks the backend to tear a partial line into its
+    ``eio`` / ``enospc`` raise before anything touches the store;
+    ``torn`` first asks the store to tear a partial line into its
     file (``_torn_write``) so the retry path must also heal real crash
     debris, then raises ``EIO`` as the write's failure.
     """

@@ -1,24 +1,23 @@
-"""The sharded campaign scheduler: dispatch, retry, checkpoint, fold.
+"""The campaign scheduler: dispatch, retry, checkpoint, fold.
 
 :class:`CampaignScheduler` owns everything between a
 :class:`~repro.campaign.spec.CampaignSpec` and a finished store:
 
-* expands the grid, subtracts completed cells, shards the remainder
-  into :class:`~repro.campaign.fabric.executors.WorkUnit`\\ s sized for
-  the executor,
+* expands the grid, subtracts completed cells, and submits the
+  remainder cell by cell,
 * dispatches through any :class:`ExecutorBase` and folds events --
-  cells append to the store *as they arrive*, unit failures (worker
-  crash, timeout) consume one retry attempt per pending cell and
-  requeue *after a deterministic exponential backoff*,
+  cells append to the store *as they arrive*, cell failures (worker
+  crash, timeout) consume one retry attempt and requeue *after a
+  deterministic exponential backoff*,
 * exhausted retry budgets become synthesized error records, so the
   campaign always terminates with one final outcome per cell,
 * detects poison cells -- a cell whose worker deaths reach
   ``poison_threshold`` is quarantined with a ``fabric:poison`` record
   instead of burning more respawns -- and breaks crash loops by
-  degrading a repeatedly-dying ``pool``/``spawn`` executor to
-  ``inline`` with a loud warning,
+  degrading a repeatedly-dying ``pool`` executor to ``inline`` with
+  a loud warning,
 * persists a checkpoint sidecar (attempt counts, quarantine state,
-  degradation, live backoff waits) atomically alongside the store, so
+  degradation, live backoff waits) atomically next to the store, so
   ``--resume`` after a SIGKILL continues mid-grid with the retry
   budget *and quarantine decisions* intact,
 * streams every record through a
@@ -26,7 +25,7 @@
   paper tables and progress are live during the run.
 
 Determinism contract: cell content depends only on the spec (derived
-seeds), never on sharding, executor choice, retries or interleaving --
+seeds), never on executor choice, retries or interleaving --
 which is what makes a killed-and-resumed store bit-identical in cell
 content to an uninterrupted one.
 """
@@ -43,27 +42,13 @@ from typing import Any, Dict, List, Optional, Tuple
 from ...errors import CampaignError
 from ..runner import CampaignRunSummary, ProgressFn, _cell_payload
 from ..spec import CampaignSpec
-from ..store import DurabilityPolicy, CellRecord
-from ..stores import open_store
-from .executors import (
-    CellDone,
-    InlineExecutor,
-    UnitFailed,
-    WorkUnit,
-    make_executor,
-)
+from ..store import DurabilityPolicy, CellRecord, open_store
+from .executors import CellDone, CellFailed, InlineExecutor, make_executor
 from .faults import backoff_delay
 from .streaming import StreamingAggregator
 
-#: Checkpoint sidecar name (lives next to / inside the store).
+#: Checkpoint sidecar name (lives next to the store).
 CHECKPOINT_NAME = "fabric.json"
-
-#: Seconds of estimated work one spawn unit should carry once the
-#: streaming aggregator has a live cells/s estimate.
-ADAPTIVE_UNIT_SECONDS = 2.0
-
-#: Hard cap on cells per unit, so one unit never monopolises a worker.
-MAX_SHARD_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -72,17 +57,13 @@ class FabricConfig:
 
     Attributes:
         workers: Worker count (``1`` stays in-process).
-        executor: ``auto``, ``inline``, ``pool`` or ``spawn``.
-        shard_size: Cells per work unit (``None``: sized per executor
-            -- single-cell units for inline/pool, coarser shards for
-            spawn workers to amortise queue round-trips).
+        executor: ``auto``, ``inline`` or ``pool``.
         max_attempts: Attempts per cell before a synthesized error
             record.
         cell_timeout_s: Per-cell wall-clock budget (``None``: no
             timeout).
         durability: Store durability policy (``None``: fsync every
             record).
-        shards: Shard count for the sharded-directory backend.
         poll_interval_s: Executor poll granularity.
         checkpoint_every: Events between checkpoint writes.
         backoff_base_s: First-retry backoff scale; retries wait
@@ -95,17 +76,15 @@ class FabricConfig:
             record, persisted in the checkpoint sidecar) instead of
             burning more respawns and retry budget.
         crashloop_threshold: Consecutive worker-death polls with zero
-            completed cells before the breaker degrades a ``pool``/
-            ``spawn`` executor to ``inline`` with a loud warning.
+            completed cells before the breaker degrades a ``pool``
+            executor to ``inline`` with a loud warning.
     """
 
     workers: int = 1
     executor: str = "auto"
-    shard_size: Optional[int] = None
     max_attempts: int = 2
     cell_timeout_s: Optional[float] = None
     durability: "DurabilityPolicy | int | None" = None
-    shards: Optional[int] = None
     poll_interval_s: float = 0.25
     checkpoint_every: int = 8
     backoff_base_s: float = 0.05
@@ -122,10 +101,6 @@ class FabricConfig:
             raise CampaignError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.shard_size is not None and self.shard_size < 1:
-            raise CampaignError(
-                f"shard_size must be >= 1, got {self.shard_size}"
-            )
         if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
             raise CampaignError("backoff delays must be >= 0")
         if self.poison_threshold < 1:
@@ -138,35 +113,6 @@ class FabricConfig:
                 f"crashloop_threshold must be >= 1, got "
                 f"{self.crashloop_threshold}"
             )
-
-    def resolve_shard_size(self, pending: int,
-                           cells_per_s: Optional[float] = None) -> int:
-        """Cells per unit for this batch of work.
-
-        Inline and pool executors take single-cell units: results land
-        (and persist) per cell, and the pool already amortises dispatch.
-        Spawn workers pay a queue round-trip per unit, so they get
-        coarser shards.  With no throughput estimate yet (the initial
-        submit) the static heuristic applies -- about four units per
-        worker across the run.  Once the streaming aggregator has a
-        live ``cells_per_s``, units are sized to carry roughly
-        :data:`ADAPTIVE_UNIT_SECONDS` of work per worker instead:
-        sub-second calibration cells coalesce into coarse units, while
-        multi-second paper cells requeue as fine-grained (often
-        single-cell) units so a retry never re-runs a long stretch of
-        finished work.  Either way the size is capped at
-        :data:`MAX_SHARD_SIZE` and at the work actually pending.
-        """
-        if self.shard_size is not None:
-            return self.shard_size
-        if self.executor != "spawn":
-            return 1
-        if cells_per_s and cells_per_s > 0:
-            per_unit = int((cells_per_s / self.workers)
-                           * ADAPTIVE_UNIT_SECONDS)
-            return max(1, min(per_unit, MAX_SHARD_SIZE, pending))
-        per_worker = max(1, pending // (self.workers * 4))
-        return min(per_worker, MAX_SHARD_SIZE)
 
 
 class CampaignScheduler:
@@ -280,10 +226,7 @@ class CampaignScheduler:
             # worker-only fault sites never SIGKILL the orchestrator.
             from .faults import PARENT_PID_ENV
             os.environ.setdefault(PARENT_PID_ENV, str(os.getpid()))
-        store = open_store(
-            self.store_path, durability=config.durability,
-            shards=config.shards,
-        )
+        store = open_store(self.store_path, durability=config.durability)
         completed: set = set()
         recorded: set = set()
         if store.exists():
@@ -368,27 +311,11 @@ class CampaignScheduler:
         self._executor = make_executor(
             config.executor, config.workers, config.cell_timeout_s
         )
-        next_unit_id = 0
 
         def submit(payloads: List[Dict[str, Any]]) -> None:
-            nonlocal next_unit_id
-            payloads = [
-                p for p in payloads
-                if p["cell_id"] not in self._quarantined
-            ]
-            if not payloads:
-                return
-            # Re-resolved per submit: the initial batch uses the static
-            # heuristic, requeues adapt to the observed cell rate.
-            shard_size = config.resolve_shard_size(
-                len(payloads), self.aggregator.cells_per_s
-            )
-            for index in range(0, len(payloads), shard_size):
-                self._executor.submit(WorkUnit(
-                    unit_id=next_unit_id,
-                    payloads=tuple(payloads[index:index + shard_size]),
-                ))
-                next_unit_id += 1
+            for payload in payloads:
+                if payload["cell_id"] not in self._quarantined:
+                    self._executor.submit(payload)
 
         try:
             self._executor.start()
@@ -419,7 +346,7 @@ class CampaignScheduler:
                     if isinstance(event, CellDone):
                         saw_done = True
                         record_result(event.result)
-                    elif isinstance(event, UnitFailed):
+                    elif isinstance(event, CellFailed):
                         saw_death = saw_death or event.worker_death
                         self._absorb_failure(store, event, record_result,
                                              summary)
@@ -475,9 +402,7 @@ class CampaignScheduler:
         )
         self._executor.start()
         self._save_checkpoint(store)
-        return [
-            payload for event in abandoned for payload in event.pending
-        ]
+        return [event.payload for event in abandoned]
 
     def _poison_payload(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """The synthesized error record for a quarantined cell."""
@@ -499,67 +424,62 @@ class CampaignScheduler:
             "worker": 0,
         }
 
-    def _absorb_failure(self, store: Any, event: UnitFailed,
+    def _absorb_failure(self, store: Any, event: CellFailed,
                         record_result: Any,
                         summary: CampaignRunSummary) -> None:
-        """Fold one unit failure into retry/poison/error bookkeeping.
+        """Fold one cell failure into retry/poison/error bookkeeping.
 
-        Worker deaths are attributed to the unit's first unfinished
-        cell (cells run in order, so that is the one the worker died
-        under); a cell whose kills reach ``poison_threshold`` is
-        quarantined with a synthesized ``fabric:poison`` record and an
-        immediate checkpoint.  Everything else spends one retry
-        attempt and, if budget remains, waits out a deterministic
-        exponential backoff before requeueing.
+        A worker death counts one kill against the cell; a cell whose
+        kills reach ``poison_threshold`` is quarantined with a
+        synthesized ``fabric:poison`` record and an immediate
+        checkpoint.  Everything else spends one retry attempt and, if
+        budget remains, waits out a deterministic exponential backoff
+        before requeueing.
         """
         config = self.config
-        victim = (
-            event.pending[0]["cell_id"]
-            if event.worker_death and event.pending else None
-        )
-        for payload in event.pending:
-            cell_id = payload["cell_id"]
-            if cell_id in self._quarantined:
-                continue  # verdict already recorded
-            if cell_id == victim:
-                kills = self._worker_kills.get(cell_id, 0) + 1
-                self._worker_kills[cell_id] = kills
-                if kills >= config.poison_threshold:
-                    self._quarantined.add(cell_id)
-                    summary.quarantined += 1
-                    # Checkpoint the verdict *before* its record: it
-                    # must survive a SIGKILL, or a resume would burn
-                    # fresh workers rediscovering the poison.  A kill
-                    # between the two leaves a quarantined cell with
-                    # no record, which the resume re-settles.
-                    self._save_checkpoint(store)
-                    record_result(self._poison_payload(payload))
-                    continue
-            attempts = self._attempts.get(cell_id, 0) + 1
-            self._attempts[cell_id] = attempts
-            if attempts < config.max_attempts:
-                summary.retried += 1
-                delay = backoff_delay(
-                    cell_id, attempts,
-                    base_s=config.backoff_base_s,
-                    cap_s=config.backoff_cap_s,
-                    seed=self.spec.master_seed,
-                )
-                self._backoff.append((time.monotonic() + delay, payload))
-            else:
-                record_result({
-                    "cell_id": cell_id,
-                    "kind": payload["kind"],
-                    "params": dict(payload["params"]),
-                    "seed": int(payload["seed"]),
-                    "spec_hash": payload["spec_hash"],
-                    "status": "error",
-                    "metrics": None,
-                    "error": (
-                        f"fabric: {event.reason} "
-                        f"(attempt {attempts}/{config.max_attempts})"
-                    ),
-                    "duration_s": 0.0,
-                    "finished_at": time.time(),
-                    "worker": 0,
-                })
+        payload = event.payload
+        cell_id = payload["cell_id"]
+        if cell_id in self._quarantined:
+            return  # verdict already recorded
+        if event.worker_death:
+            kills = self._worker_kills.get(cell_id, 0) + 1
+            self._worker_kills[cell_id] = kills
+            if kills >= config.poison_threshold:
+                self._quarantined.add(cell_id)
+                summary.quarantined += 1
+                # Checkpoint the verdict *before* its record: it must
+                # survive a SIGKILL, or a resume would burn fresh
+                # workers rediscovering the poison.  A kill between
+                # the two leaves a quarantined cell with no record,
+                # which the resume re-settles.
+                self._save_checkpoint(store)
+                record_result(self._poison_payload(payload))
+                return
+        attempts = self._attempts.get(cell_id, 0) + 1
+        self._attempts[cell_id] = attempts
+        if attempts < config.max_attempts:
+            summary.retried += 1
+            delay = backoff_delay(
+                cell_id, attempts,
+                base_s=config.backoff_base_s,
+                cap_s=config.backoff_cap_s,
+                seed=self.spec.master_seed,
+            )
+            self._backoff.append((time.monotonic() + delay, payload))
+        else:
+            record_result({
+                "cell_id": cell_id,
+                "kind": payload["kind"],
+                "params": dict(payload["params"]),
+                "seed": int(payload["seed"]),
+                "spec_hash": payload["spec_hash"],
+                "status": "error",
+                "metrics": None,
+                "error": (
+                    f"fabric: {event.reason} "
+                    f"(attempt {attempts}/{config.max_attempts})"
+                ),
+                "duration_s": 0.0,
+                "finished_at": time.time(),
+                "worker": 0,
+            })

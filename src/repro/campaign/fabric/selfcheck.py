@@ -3,10 +3,9 @@
 The fabric's core durability claim: a campaign whose parent process is
 SIGKILLed mid-grid (and whose workers crash along the way) and is then
 resumed produces a store *identical in cell content* to an
-uninterrupted run -- same cells, same seeds, same metrics -- on every
-store backend.
+uninterrupted run -- same cells, same seeds, same metrics.
 
-:func:`run_selfcheck` proves it end to end, per backend:
+:func:`run_selfcheck` proves it end to end:
 
 1. **Reference** -- run a paced calibration grid inline, in this
    process, into a scratch JSONL store.  The grid's worker-crash cell
@@ -24,8 +23,8 @@ store backend.
    excludes wall-clock fields and pids) must match the reference
    exactly.
 
-CI runs this for all three backends; the tier-1 suite keeps the two
-cheap ones.
+:func:`run_gc_selfcheck` proves ``campaign gc`` atomic the same way,
+by SIGKILLing a real gc inside its crash window.
 """
 
 from __future__ import annotations
@@ -41,15 +40,10 @@ from typing import Dict, List, Optional, Tuple
 from ...errors import CampaignError
 from ..grids import calibration_campaign
 from ..runner import run_campaign
-from ..spec import CampaignSpec
-from ..stores import BACKENDS, open_store
+from ..store import open_store
 
-#: backend name -> store basename the backend resolver maps back.
-STORE_NAMES = {
-    "jsonl": "store.jsonl",
-    "sqlite": "store.sqlite",
-    "shards": "store.shards",
-}
+#: Store file name inside a check's workdir.
+STORE_NAME = "store.jsonl"
 
 #: Seconds a SIGKILLed run's workers get to notice and exit.
 ORPHAN_WAIT_S = 5.0
@@ -57,10 +51,9 @@ ORPHAN_WAIT_S = 5.0
 
 @dataclass
 class SelfCheckResult:
-    """Outcome of one backend's kill/resume equivalence check.
+    """Outcome of one kill/resume equivalence check.
 
     Attributes:
-        backend: Store backend exercised.
         total: Cells in the calibration grid.
         ok_at_kill: Completed cells observed when SIGKILL was sent.
         killed_mid_grid: Whether the kill landed before completion.
@@ -72,7 +65,6 @@ class SelfCheckResult:
             the kill (empty = pass); the check kills them.
     """
 
-    backend: str
     total: int
     ok_at_kill: int
     killed_mid_grid: bool
@@ -178,21 +170,19 @@ def _poll_ok_count(store_path: str) -> int:
             return 0
         return len(store.completed_ids())
     except (CampaignError, OSError):
-        return 0  # store not written yet (or mid-write lock)
+        return 0  # store not written yet
 
 
 def run_selfcheck(
-    backend: str,
     workdir: str,
     cells: int = 14,
     spin_ms: float = 40.0,
     kill_after: int = 4,
     deadline_s: float = 120.0,
 ) -> SelfCheckResult:
-    """Prove kill/resume equivalence for one store backend.
+    """Prove kill/resume equivalence.
 
     Args:
-        backend: ``jsonl``, ``sqlite`` or ``shards``.
         workdir: Scratch directory (created if missing).
         cells: Plain no-op cells in the calibration grid (one
             worker-crash cell is added on top).
@@ -205,19 +195,14 @@ def run_selfcheck(
         A :class:`SelfCheckResult`; ``result.ok`` is the verdict.
 
     Raises:
-        CampaignError: Unknown backend, or a subprocess misbehaved in
-            a way that voids the comparison (resume failed outright).
+        CampaignError: A subprocess misbehaved in a way that voids the
+            comparison (resume failed outright).
     """
-    if backend not in BACKENDS:
-        raise CampaignError(
-            f"unknown backend {backend!r}; expected one of "
-            f"{tuple(BACKENDS)}"
-        )
     os.makedirs(workdir, exist_ok=True)
     crash_flag = os.path.join(workdir, "crash.flag")
     spec = calibration_campaign(
         cells=cells, spin_ms=spin_ms, crash_flags=(crash_flag,),
-        name=f"selfcheck-{backend}",
+        name="selfcheck",
     )
 
     # 1. Reference: inline, uninterrupted.  Pre-create the crash flag
@@ -232,7 +217,7 @@ def run_selfcheck(
     # 2. Interrupted run: real CLI subprocess, SIGKILLed mid-grid.
     spec_path = os.path.join(workdir, "spec.json")
     spec.save(spec_path)
-    store_path = os.path.join(workdir, STORE_NAMES[backend])
+    store_path = os.path.join(workdir, STORE_NAME)
     env = _subprocess_env()
     child = _run_cli(spec_path, store_path, resume=False, env=env)
     deadline = time.monotonic() + deadline_s
@@ -244,13 +229,12 @@ def run_selfcheck(
             child.kill()
             child.wait()
             raise CampaignError(
-                f"selfcheck[{backend}]: interrupted run exceeded "
+                "selfcheck: interrupted run exceeded "
                 f"{deadline_s:.0f}s"
             )
         ok_at_kill = _poll_ok_count(store_path)
         if ok_at_kill >= kill_after:
-            # Kill while workers run: a pool rebuilt after the crash
-            # cell has none until its next submit.
+            # Kill while workers run, so the check sees them exit.
             worker_pids = [
                 pid for pid in _child_pids(child.pid) if _alive(pid)
             ]
@@ -270,11 +254,11 @@ def run_selfcheck(
         resumed.kill()
         resumed.communicate()
         raise CampaignError(
-            f"selfcheck[{backend}]: resume exceeded {deadline_s:.0f}s"
+            f"selfcheck: resume exceeded {deadline_s:.0f}s"
         ) from None
     if resumed.returncode != 0:
         raise CampaignError(
-            f"selfcheck[{backend}]: resume exited "
+            "selfcheck: resume exited "
             f"{resumed.returncode}:\n{output}"
         )
 
@@ -295,7 +279,6 @@ def run_selfcheck(
             )
     resumed_executed = spec.cell_count() - ok_at_kill
     return SelfCheckResult(
-        backend=backend,
         total=spec.cell_count(),
         ok_at_kill=ok_at_kill,
         killed_mid_grid=killed,
@@ -306,20 +289,11 @@ def run_selfcheck(
     )
 
 
-def run_all_selfchecks(workdir: str, **kwargs: object) -> List[SelfCheckResult]:
-    """Run the kill/resume check for every registered backend."""
-    return [
-        run_selfcheck(backend, os.path.join(workdir, backend), **kwargs)
-        for backend in BACKENDS
-    ]
-
-
 @dataclass
 class GcSelfCheckResult:
-    """Outcome of one backend's gc-crash atomicity check.
+    """Outcome of one gc-crash atomicity check.
 
     Attributes:
-        backend: Store backend exercised.
         gc_returncode: Exit status of the SIGKILLed ``campaign gc``
             (should be ``-SIGKILL``).
         errors_dropped: Superseded error records the clean re-gc
@@ -327,7 +301,6 @@ class GcSelfCheckResult:
         mismatches: Human-readable problems (empty = pass).
     """
 
-    backend: str
     gc_returncode: int
     errors_dropped: int
     mismatches: List[str] = field(default_factory=list)
@@ -339,24 +312,21 @@ class GcSelfCheckResult:
 
 
 def run_gc_selfcheck(
-    backend: str,
     workdir: str,
     cells: int = 6,
     deadline_s: float = 60.0,
 ) -> GcSelfCheckResult:
-    """Prove gc compaction is atomic under SIGKILL for one backend.
+    """Prove gc compaction is atomic under SIGKILL.
 
     Builds a store with real debris (a worker-crash cell whose error
     record is later superseded by a clean resume), then runs
     ``repro campaign gc`` as a subprocess with a ``gc.crash`` fault
     plan in its environment -- the fault plane SIGKILLs the gc inside
-    its crash window (before the atomic rename for the line-append
-    backends; between DELETE and commit for sqlite).  The store must
+    its crash window, before the atomic rename.  The store must
     be untouched: every cell's content identical, the superseded error
     debris still present for a clean re-gc to drop.
 
     Args:
-        backend: ``jsonl``, ``sqlite`` or ``shards``.
         workdir: Scratch directory (created if missing).
         cells: Plain no-op cells in the grid (one crash cell added).
         deadline_s: Per-subprocess wall-clock budget.
@@ -366,11 +336,6 @@ def run_gc_selfcheck(
     """
     from .faults import FaultPlan, FaultSpec
 
-    if backend not in BACKENDS:
-        raise CampaignError(
-            f"unknown backend {backend!r}; expected one of "
-            f"{tuple(BACKENDS)}"
-        )
     os.makedirs(workdir, exist_ok=True)
 
     # 1. Debris: the crash cell's first attempt kills its worker with
@@ -379,9 +344,9 @@ def run_gc_selfcheck(
     crash_flag = os.path.join(workdir, "crash.flag")
     spec = calibration_campaign(
         cells=cells, spin_ms=0.0, crash_flags=(crash_flag,),
-        name=f"gc-selfcheck-{backend}",
+        name="gc-selfcheck",
     )
-    store_path = os.path.join(workdir, STORE_NAMES[backend])
+    store_path = os.path.join(workdir, STORE_NAME)
     run_campaign(spec, store_path, workers=2, executor="pool",
                  max_attempts=1)
     run_campaign(spec, store_path, workers=2, executor="pool",
@@ -416,7 +381,7 @@ def run_gc_selfcheck(
         child.kill()
         child.communicate()
         raise CampaignError(
-            f"gc-selfcheck[{backend}]: killed gc exceeded {deadline_s:.0f}s"
+            f"gc-selfcheck: killed gc exceeded {deadline_s:.0f}s"
         ) from None
     if child.returncode != -signal.SIGKILL:
         mismatches.append(
@@ -449,7 +414,6 @@ def run_gc_selfcheck(
         if _ok_content(store_path) != before:
             mismatches.append("store content changed across the clean re-gc")
     return GcSelfCheckResult(
-        backend=backend,
         gc_returncode=child.returncode,
         errors_dropped=errors_dropped,
         mismatches=mismatches,

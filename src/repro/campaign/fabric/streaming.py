@@ -74,7 +74,7 @@ class StreamingAggregator:
 
     Fold order does not matter for the rendered tables (rows are keyed
     by cell id and rendered sorted), which is what makes the aggregate
-    stable across executors, shard interleavings and resumes.
+    stable across executors, interleavings and resumes.
     """
 
     def __init__(self, spec: CampaignSpec) -> None:
@@ -169,8 +169,8 @@ class StreamingAggregator:
         """Completion rate over the recent arrival window.
 
         ``None`` until two records have arrived (or when they all
-        landed in the same instant, e.g. a resume seed).  The scheduler
-        reads this to size spawn work units adaptively.
+        landed in the same instant, e.g. a resume seed).  ``campaign
+        watch`` prints it as the run's throughput.
         """
         return self._rate()
 

@@ -7,16 +7,14 @@ that created it, and a crash mid-campaign loses at most the in-flight
 cell -- every completed cell survives, so ``resume`` is a set
 difference between the spec's expansion and the ids already persisted.
 
-This module defines the pieces every backend shares -- the
-:class:`CellRecord` schema, the :class:`DurabilityPolicy`, and the
-:class:`CampaignStoreBase` interface -- plus the original JSONL
-backend (:class:`JsonlCampaignStore`).  The sqlite and sharded
-directory backends live in :mod:`repro.campaign.store_sqlite` and
-:mod:`repro.campaign.store_shards`; :func:`repro.campaign.stores.open_store`
-selects a backend from the store path.
+This module defines the :class:`CellRecord` schema, the
+:class:`DurabilityPolicy`, the :class:`CampaignStoreBase` interface
+and its one implementation, the append-only JSONL file
+(:class:`JsonlCampaignStore`).  Every campaign entry point (runner,
+status, report, watch, gc) opens a store through :func:`open_store`.
 
-``CampaignStore`` remains an alias of the JSONL backend so existing
-callers (and stores on disk) keep working unchanged.
+``CampaignStore`` remains an alias of the JSONL store so existing
+callers keep working unchanged.
 """
 
 from __future__ import annotations
@@ -187,7 +185,7 @@ class GcStats:
         errors_dropped: Error records dropped because a later ``ok``
             record superseded them (latest-wins, same as resume).
         debris_bytes: Bytes of torn-tail crash debris healed away
-            (always 0 for backends without line-level appends).
+            (0 when the file already ended on a complete record).
     """
 
     records_kept: int
@@ -224,7 +222,7 @@ def partition_superseded(
 
 
 def build_header(spec: CampaignSpec) -> Dict[str, Any]:
-    """The header payload every backend persists at initialise time."""
+    """The header payload a store persists at initialise time."""
     return {
         "type": HEADER_TYPE,
         "name": spec.name,
@@ -236,17 +234,13 @@ def build_header(spec: CampaignSpec) -> Dict[str, Any]:
 
 
 class CampaignStoreBase(ABC):
-    """Backend interface for campaign persistence.
+    """Interface for campaign persistence.
 
-    Concrete backends implement existence, header I/O, appends and
+    A concrete store implements existence, header I/O, appends and
     (incremental) reads; everything spec-shaped -- initialise, header
-    caching, spec verification, record hydration -- is shared here so
-    the scheduler, aggregator and watch code never see backend
-    details.
+    caching, spec verification, record hydration, transient-error
+    retries on append -- lives here.
     """
-
-    #: Short name used in CLI output and the backend registry.
-    backend = "base"
 
     def __init__(self, path: str,
                  durability: "DurabilityPolicy | int | None" = None) -> None:
@@ -256,7 +250,7 @@ class CampaignStoreBase(ABC):
         self.durability = DurabilityPolicy.coerce(durability)
         self._header: Optional[Dict[str, Any]] = None
 
-    # -- backend surface -------------------------------------------------
+    # -- store surface ---------------------------------------------------
 
     @abstractmethod
     def exists(self) -> bool:
@@ -283,8 +277,8 @@ class CampaignStoreBase(ABC):
         """Records appended since ``cursor`` plus the new cursor.
 
         ``cursor=None`` starts from the beginning.  Cursors are
-        backend-opaque; callers only thread them through.  Reading is
-        safe while another process appends (``campaign watch``).
+        opaque; callers only thread them through.  Reading is safe
+        while another process appends (``campaign watch``).
         """
 
     def flush(self) -> None:
@@ -351,13 +345,8 @@ class CampaignStoreBase(ABC):
             )
 
     def cell_records(self) -> List[CellRecord]:
-        """Every persisted cell record.
-
-        Ordering contract: records of the *same cell* appear in append
-        order (so latest-wins dedup is well defined); backends may
-        interleave records of different cells (the sharded store reads
-        shard by shard).
-        """
+        """Every persisted cell record, in append order (so latest-wins
+        dedup is well defined)."""
         return [CellRecord.from_dict(p) for p in self._iter_payloads()]
 
     def completed_ids(self) -> Set[str]:
@@ -369,7 +358,7 @@ class CampaignStoreBase(ABC):
 
         An ``OSError`` whose errno is in :data:`TRANSIENT_APPEND_ERRNOS`
         (EIO, ENOSPC, EAGAIN, EINTR -- busy or momentarily full media)
-        gets up to :data:`APPEND_RETRIES` retries: the backend first
+        gets up to :data:`APPEND_RETRIES` retries: the store first
         recovers its append state (:meth:`_recover_append` reopens
         handles, which also heals any partial line the failed write
         tore into the file), then waits a short deterministic backoff.
@@ -407,39 +396,36 @@ class CampaignStoreBase(ABC):
     def _recover_append(self) -> None:
         """Reset append state after a transient write failure.
 
-        Backends with persistent handles reopen them here so the next
-        try starts from a clean handle (and, for line-append backends,
-        a healed tail).  The base implementation is a no-op.
+        A store with a persistent handle reopens it here so the next
+        try starts from a clean handle and a healed tail.  The base
+        implementation is a no-op.
         """
 
     def _torn_write(self, payload: Dict[str, Any]) -> None:
-        """Tear a partial line into the backend's file (fault plane).
+        """Tear a partial line into the store's file (fault plane).
 
-        Only meaningful for line-append backends; the default is a
-        no-op so injecting ``torn`` into a backend without a torn-write
-        concept degrades to a plain transient error.
+        The default is a no-op, so injecting ``torn`` into a store
+        without a torn-write concept degrades to a plain transient
+        error.
         """
 
     def sidecar_path(self, name: str) -> str:
         """Where scheduler sidecar state (checkpoints) lives."""
         return f"{self.path}.{name}"
 
+    @abstractmethod
     def gc(self) -> GcStats:
         """Compact the store in place.
 
         Drops error records superseded by a later ``ok`` for the same
-        cell and (for line-append backends) heals torn-tail crash
-        debris by rewriting only complete records.  The rewrite is
-        atomic per file, the header survives unchanged, and nothing a
-        resume, report or watch would use is ever removed.
+        cell and heals torn-tail crash debris by rewriting only
+        complete records.  The rewrite is atomic, the header survives
+        unchanged, and nothing a resume, report or watch would use is
+        ever removed.
 
         Raises:
-            CampaignError: The backend does not support compaction, or
-                the store does not exist.
+            CampaignError: The store does not exist.
         """
-        raise CampaignError(
-            f"{self.backend} store {self.path!r} does not support gc"
-        )
 
     def __enter__(self) -> "CampaignStoreBase":
         return self
@@ -449,7 +435,7 @@ class CampaignStoreBase(ABC):
 
 
 # --------------------------------------------------------------------- #
-# JSONL helpers shared with the sharded-directory backend.
+# JSONL record files.
 # --------------------------------------------------------------------- #
 
 def iter_jsonl_payloads(
@@ -539,7 +525,7 @@ def gc_jsonl_file(path: str) -> Tuple[int, int, int]:
 
 
 class JsonlCampaignStore(CampaignStoreBase):
-    """Append-only single-file JSONL persistence (the original store).
+    """Append-only single-file JSONL persistence.
 
     The first line is the header; every later line is one cell.  A
     persistent append handle is kept open across appends (opening and
@@ -548,11 +534,14 @@ class JsonlCampaignStore(CampaignStoreBase):
     is fsynced.
     """
 
-    backend = "jsonl"
-
     def __init__(self, path: str,
                  durability: "DurabilityPolicy | int | None" = None) -> None:
         super().__init__(path, durability)
+        if os.path.isdir(path):
+            raise CampaignError(
+                f"store {path!r} is a directory; a campaign store is "
+                "one JSONL file"
+            )
         self._handle = None
         self._unsynced = 0
 
@@ -645,5 +634,19 @@ class JsonlCampaignStore(CampaignStoreBase):
         return GcStats(*gc_jsonl_file(self.path))
 
 
-#: Backwards-compatible name for the original (JSONL) store.
+#: Backwards-compatible name for the JSONL store.
 CampaignStore = JsonlCampaignStore
+
+
+def open_store(
+    path: str,
+    durability: "DurabilityPolicy | int | None" = None,
+) -> CampaignStoreBase:
+    """Open (not create) the campaign store at ``path``.
+
+    Args:
+        path: Store file path.
+        durability: Append durability policy (fsync cadence), see
+            :class:`DurabilityPolicy`.
+    """
+    return JsonlCampaignStore(path, durability=durability)

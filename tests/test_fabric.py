@@ -2,8 +2,8 @@
 
 Worker crashes here are real: the ``noop`` calibration kind SIGKILLs
 its own worker process on a cell's first attempt (``crash_flag``), so
-the pool-rebuild and spawn-respawn paths are exercised with actual
-dead processes, not mocks.
+the pool's respawn path is exercised with actual dead processes, not
+mocks.
 """
 
 import json
@@ -18,6 +18,8 @@ from repro.campaign import (
     CampaignScheduler,
     CampaignSpec,
     FabricConfig,
+    FaultPlan,
+    FaultSpec,
     ScenarioSpec,
     StreamingAggregator,
     build_report,
@@ -27,12 +29,12 @@ from repro.campaign import (
     watch_store,
 )
 from repro.campaign.fabric import executors as executors_module
+from repro.campaign.fabric import faults
 from repro.campaign.fabric.executors import (
     CellDone,
+    CellFailed,
     InlineExecutor,
-    LocalWorkerFabricExecutor,
-    ProcessPoolFabricExecutor,
-    WorkUnit,
+    WorkerPoolExecutor,
     describe_worker_blas,
     limit_blas_threads,
     make_executor,
@@ -60,17 +62,15 @@ def ok_metrics(store_path):
 class TestExecutors:
     def test_make_executor_auto(self):
         assert isinstance(make_executor("auto", 1), InlineExecutor)
-        assert isinstance(make_executor("auto", 3),
-                          ProcessPoolFabricExecutor)
-        assert isinstance(make_executor("spawn", 2),
-                          LocalWorkerFabricExecutor)
+        assert isinstance(make_executor("auto", 3), WorkerPoolExecutor)
+        assert isinstance(make_executor("pool", 2), WorkerPoolExecutor)
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(CampaignError):
             make_executor("teleport", 1)
 
     @pytest.mark.parametrize("executor,workers", [
-        ("inline", 1), ("pool", 2), ("spawn", 2),
+        ("inline", 1), ("pool", 2),
     ])
     def test_executors_produce_identical_cells(self, tmp_path, executor,
                                                workers):
@@ -95,9 +95,7 @@ class TestExecutors:
         run_campaign(spec, reference, workers=1)
         assert ok_metrics(path) == ok_metrics(reference)
 
-    @pytest.mark.parametrize("name", ["pool", "spawn"])
-    def test_workers_get_their_share_of_blas_threads(self, monkeypatch,
-                                                     name):
+    def test_workers_get_their_share_of_blas_threads(self, monkeypatch):
         parent = openblas_threads()
         if not parent:
             pytest.skip("no OpenBLAS library mapped")
@@ -107,12 +105,11 @@ class TestExecutors:
             "noop", noop.defaults,
             lambda params, scale: {"threads": openblas_threads()},
         ))
-        unit = self._unit()
-        payload = dict(unit.payloads[0], scale=SMOKE_SCALE.to_dict())
-        executor = make_executor(name, 2)
+        payload = dict(self._payload(), scale=SMOKE_SCALE.to_dict())
+        executor = make_executor("pool", 2)
         events = []
         try:
-            executor.submit(WorkUnit(unit.unit_id, (payload,)))
+            executor.submit(payload)
             deadline = time.monotonic() + 60.0
             while executor.outstanding() and time.monotonic() < deadline:
                 events.extend(executor.poll(0.25))
@@ -150,7 +147,7 @@ class TestExecutors:
             [8, 4, 2, 1, 1]
         monkeypatch.setattr(executors_module, "openblas_libraries",
                             lambda: [("libopenblas.so", None, None)])
-        assert describe_worker_blas("spawn", 4) == (
+        assert describe_worker_blas("pool", 4) == (
             "blas: each of 4 workers limited to 2 BLAS thread(s) in "
             "libopenblas.so"
         )
@@ -165,41 +162,37 @@ class TestExecutors:
                 str(tmp_path / "x.jsonl"), workers=0,
             )
 
-    def _unit(self, unit_id=0):
-        payload = {
-            "cell_id": f"noop:index={unit_id}", "kind": "noop",
-            "params": {"index": unit_id}, "seed": 1,
+    def _payload(self, index=0):
+        return {
+            "cell_id": f"noop:index={index}", "kind": "noop",
+            "params": {"index": index}, "seed": 1,
             "spec_hash": "x" * 16, "scale": {},
         }
-        return WorkUnit(unit_id=unit_id, payloads=(payload,))
 
     @pytest.mark.parametrize("name,workers", [
-        ("inline", 1), ("pool", 2), ("spawn", 2),
+        ("inline", 1), ("pool", 2),
     ])
     def test_abandon_returns_pending_not_worker_death(self, name, workers):
-        """The crash-loop breaker relies on abandon(): every queued
-        payload comes back as an orderly UnitFailed so it can be
-        resubmitted elsewhere, with ``worker_death`` unset so abandoned
-        cells never accumulate kills toward quarantine."""
-        from repro.campaign.fabric.executors import UnitFailed
-
+        """The crash-loop breaker relies on abandon(): every queued and
+        in-flight payload comes back as an orderly CellFailed so it can
+        be resubmitted elsewhere, with ``worker_death`` unset so
+        abandoned cells never accumulate kills toward quarantine."""
         executor = make_executor(name, workers)
         executor.start()
         try:
-            units = [self._unit(i) for i in range(3)]
-            for unit in units:
-                executor.submit(unit)
+            for index in range(3):
+                executor.submit(self._payload(index))
             abandoned = executor.abandon()
         finally:
             executor.shutdown()
         assert executor.outstanding() == 0
-        pending = [p for event in abandoned for p in event.pending]
-        assert all(isinstance(event, UnitFailed) for event in abandoned)
+        assert all(isinstance(event, CellFailed) for event in abandoned)
         assert all(not event.worker_death for event in abandoned)
-        # Units may already be mid-flight (pool/spawn), so abandon
-        # returns a subset; everything it does return must be intact.
-        for payload in pending:
-            assert payload["kind"] == "noop"
+        # Nothing was polled, so no cell reported and every one of them
+        # comes back intact.
+        assert sorted(event.payload["cell_id"] for event in abandoned) == [
+            f"noop:index={index}" for index in range(3)
+        ]
 
 
 class TestCrashRecovery:
@@ -209,12 +202,11 @@ class TestCrashRecovery:
             cells=cells, crash_flags=(flag,), name="crashy"
         )
 
-    @pytest.mark.parametrize("executor", ["pool", "spawn"])
-    def test_worker_crash_is_retried_not_fatal(self, tmp_path, executor):
+    def test_worker_crash_is_retried_not_fatal(self, tmp_path):
         flag, spec = self.crash_spec(tmp_path)
-        path = str(tmp_path / f"{executor}.jsonl")
+        path = str(tmp_path / "pool.jsonl")
         summary = run_campaign(
-            spec, path, workers=2, executor=executor, max_attempts=3
+            spec, path, workers=2, executor="pool", max_attempts=3
         )
         assert summary.failed == 0
         assert summary.executed == spec.cell_count()
@@ -241,17 +233,46 @@ class TestCrashRecovery:
         # The run terminated with one final outcome per cell.
         assert summary.executed == spec.cell_count()
 
-    def test_spawn_cell_timeout_kills_worker(self, tmp_path):
+    def test_pool_cell_timeout_kills_worker(self, tmp_path):
         # One cell spins for 30s against a 0.4s budget.
         spec = calibration_campaign(cells=1, spin_ms=30_000.0,
                                     name="stuck")
         path = str(tmp_path / "timeout.jsonl")
         summary = run_campaign(
-            spec, path, workers=1, executor="spawn",
+            spec, path, workers=1, executor="pool",
             max_attempts=1, cell_timeout_s=0.4,
         )
         assert summary.failed == 1
         assert "timeout" in summary.records[0].error
+
+    def test_hung_cell_timeout_fails_only_that_cell(self, tmp_path):
+        """Killing a hung worker must not cost the busy one its cell.
+
+        40 cells of 100 ms on 2 workers keep the other worker mid-cell
+        when the hung cell's 1.5 s budget runs out; with one attempt
+        per cell, any collateral failure would be an error record.
+        """
+        spec = calibration_campaign(cells=40, spin_ms=100.0, name="hung")
+        target = sorted(cell.cell_id for cell in spec.expand())[0]
+        plan = FaultPlan(
+            chaos_seed=0,
+            specs=(FaultSpec("cell.hang", cell_id=target, delay_s=30.0),),
+            state_dir=str(tmp_path / "state"),
+        )
+        faults.activate(plan, str(tmp_path / "plan.json"))
+        try:
+            summary = run_campaign(
+                spec, str(tmp_path / "hung.jsonl"), workers=2,
+                executor="pool", max_attempts=1, cell_timeout_s=1.5,
+            )
+        finally:
+            faults.deactivate()
+        records = open_store(str(tmp_path / "hung.jsonl")).cell_records()
+        errors = [r for r in records if not r.ok]
+        assert [r.cell_id for r in errors] == [target]
+        assert "timeout" in errors[0].error
+        assert summary.executed == spec.cell_count()
+        assert len(ok_metrics(str(tmp_path / "hung.jsonl"))) == 39
 
     def test_failed_cells_rerun_on_resume(self, tmp_path):
         flag, spec = self.crash_spec(tmp_path, cells=2)
@@ -275,34 +296,6 @@ class TestScheduler:
             FabricConfig(workers=0)
         with pytest.raises(CampaignError):
             FabricConfig(max_attempts=0)
-        with pytest.raises(CampaignError):
-            FabricConfig(shard_size=0)
-
-    def test_shard_sizing(self):
-        assert FabricConfig(executor="pool", workers=4).resolve_shard_size(100) == 1
-        spawn = FabricConfig(executor="spawn", workers=2)
-        assert spawn.resolve_shard_size(64) == 8
-        assert spawn.resolve_shard_size(4) == 1
-        assert FabricConfig(executor="spawn", workers=1,
-                            shard_size=5).resolve_shard_size(64) == 5
-
-    def test_adaptive_shard_sizing_from_rate(self):
-        spawn = FabricConfig(executor="spawn", workers=2)
-        # No throughput estimate yet: the static heuristic.
-        assert spawn.resolve_shard_size(64, None) == 8
-        # 8 cells/s over 2 workers at 2s-of-work units -> 8 cells each.
-        assert spawn.resolve_shard_size(64, 8.0) == 8
-        # Slow cells requeue as single-cell units.
-        assert spawn.resolve_shard_size(64, 0.5) == 1
-        # Fast cells clamp at the monopolisation cap...
-        assert spawn.resolve_shard_size(1000, 400.0) == 16
-        # ...and never exceed the work actually pending.
-        assert spawn.resolve_shard_size(3, 400.0) == 3
-        # Explicit shard_size still wins; pool stays single-cell.
-        assert FabricConfig(executor="spawn", workers=2,
-                            shard_size=5).resolve_shard_size(64, 8.0) == 5
-        assert FabricConfig(executor="pool",
-                            workers=4).resolve_shard_size(64, 8.0) == 1
 
     def test_checkpoint_cleared_on_completion(self, tmp_path):
         spec = calibration_campaign(cells=3, name="ckpt")
@@ -329,7 +322,7 @@ class TestScheduler:
 
     def test_scheduler_aggregator_is_live(self, tmp_path):
         spec = calibration_campaign(cells=5, name="live")
-        scheduler = CampaignScheduler(spec, str(tmp_path / "c.sqlite"))
+        scheduler = CampaignScheduler(spec, str(tmp_path / "c.jsonl"))
         scheduler.run()
         snapshot = scheduler.aggregator.snapshot()
         assert snapshot.complete
@@ -432,7 +425,7 @@ class TestStreamingAggregation:
         aggregator = StreamingAggregator(spec)
         aggregator.seed(open_store(path).cell_records())
         # Replaying history in a tight loop must not look like
-        # thousands of cells/s to the adaptive shard sizing.
+        # thousands of cells/s to the throughput ``watch`` prints.
         assert aggregator.cells_per_s is None
 
     def test_kind_deltas_dirty_tracking(self):
@@ -456,7 +449,7 @@ class TestStreamingAggregation:
 class TestWatch:
     def test_watch_once_renders_progress(self, tmp_path, capsys):
         spec = calibration_campaign(cells=4, name="watched")
-        path = str(tmp_path / "w.sqlite")
+        path = str(tmp_path / "w.jsonl")
         run_campaign(spec, path, workers=1)
         report_path = str(tmp_path / "live.md")
         snapshot = watch_store(path, once=True, report_path=report_path)
@@ -558,7 +551,7 @@ class TestWatch:
             "attempts": {},
             "kills": {"noop:index=0,spin_ms=0.0": 3},
             "quarantined": ["noop:index=0,spin_ms=0.0"],
-            "degraded": "spawn->inline after 3 consecutive "
+            "degraded": "pool->inline after 3 consecutive "
                         "worker-death polls with no completed cells",
             "backoff": {"noop:index=1,spin_ms=0.0": time_mod.time() + 60},
             "updated_at": time_mod.time(),
@@ -569,7 +562,7 @@ class TestWatch:
         out = capsys.readouterr().out
         assert "1 quarantined poison cell(s)" in out
         assert "noop:index=0,spin_ms=0.0" in out
-        assert "executor degraded -- spawn->inline" in out
+        assert "executor degraded -- pool->inline" in out
         assert "1 cell(s) in retry backoff" in out
 
     def test_watch_tolerates_torn_sidecar(self, tmp_path, capsys):
@@ -585,7 +578,7 @@ class TestWatch:
 
 class TestFabricCli:
     def test_calibration_run_and_watch(self, tmp_path, capsys):
-        store = str(tmp_path / "cal.shards")
+        store = str(tmp_path / "cal.jsonl")
         assert main([
             "campaign", "run", "--calibration", "6", "--store", store,
             "--workers", "2", "--executor", "pool",
@@ -630,8 +623,8 @@ class TestFabricCli:
         assert len(store_obj.cell_records()) == spec.cell_count()
         assert len(store_obj.completed_ids()) == spec.cell_count()
 
-    def test_status_and_report_on_sqlite(self, tmp_path, capsys):
-        store = str(tmp_path / "cli.sqlite")
+    def test_status_and_report(self, tmp_path, capsys):
+        store = str(tmp_path / "cli.jsonl")
         assert main([
             "campaign", "run", "--calibration", "4", "--store", store,
         ]) == 0
@@ -645,11 +638,11 @@ class TestFabricCli:
         """One cheap case through the real CLI; the full matrix is the
         CI chaos step's job."""
         assert main([
-            "campaign", "chaos", "--quick", "--backends", "jsonl",
+            "campaign", "chaos", "--quick",
             "--faults", "slow", "--workdir", str(tmp_path),
         ]) == 0
         out = capsys.readouterr().out
-        assert "chaos[jsonl/slow]: PASS" in out
+        assert "chaos[slow]: PASS" in out
         assert "1/1 cases survived" in out
 
     def test_chaos_rejects_unknown_fault(self, tmp_path, capsys):
@@ -658,3 +651,19 @@ class TestFabricCli:
             "--workdir", str(tmp_path),
         ]) == 2
         assert "unknown fault class" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["status"], ["report"], ["watch", "--once"], ["gc"],
+        ["run", "--calibration", "2", "--resume"],
+    ])
+    def test_directory_store_is_a_one_line_error(self, tmp_path, capsys,
+                                                 command):
+        """A sharded-directory store from older releases is refused with
+        a one-line error naming the path, not a traceback."""
+        store = tmp_path / "old.shards"
+        store.mkdir()
+        (store / "campaign.json").write_text("{}", encoding="utf-8")
+        assert main(["campaign", *command, "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "is a directory" in err and str(store) in err

@@ -273,7 +273,13 @@ def _target_cell(spec):
 
 class TestHardeningIntegration:
     def test_poison_cell_quarantined(self, tmp_path):
-        spec = calibration_campaign(cells=4, spin_ms=5.0, name="poison")
+        """Only the poison cell pays for the workers it kills.
+
+        Ten 25 ms cells keep the other worker busy while the poison
+        cell kills its own, so a kill charged to any cell but the one
+        the dead worker held would quarantine an innocent.
+        """
+        spec = calibration_campaign(cells=10, spin_ms=25.0, name="poison")
         target = _target_cell(spec)
         plan = FaultPlan(
             chaos_seed=0,
@@ -283,20 +289,18 @@ class TestHardeningIntegration:
         faults.activate(plan, str(tmp_path / "plan.json"))
         summary = run_campaign(
             spec, str(tmp_path / "store.jsonl"),
-            workers=2, executor="spawn", max_attempts=10,
+            workers=2, executor="pool", max_attempts=10,
             poison_threshold=2, backoff_base_s=0.01, backoff_cap_s=0.05,
         )
         assert summary.quarantined == 1
         assert summary.degraded is None
-        poison = [
-            r for r in open_store(str(tmp_path / "store.jsonl")).cell_records()
-            if r.cell_id == target
-        ]
-        assert len(poison) == 1
-        assert not poison[0].ok
-        assert "fabric:poison" in poison[0].error
+        records = open_store(str(tmp_path / "store.jsonl")).cell_records()
+        failed = [r for r in records if not r.ok]
+        assert [r.cell_id for r in failed] == [target]
+        assert "fabric:poison" in failed[0].error
         # Quarantine must not cost the rest of the grid anything.
-        assert len(_ok_content(str(tmp_path / "store.jsonl"))) == 3
+        others = {c.cell_id for c in spec.expand()} - {target}
+        assert set(_ok_content(str(tmp_path / "store.jsonl"))) == others
 
     def test_crash_loop_degrades_to_inline_and_finishes(self, tmp_path):
         spec = calibration_campaign(cells=4, spin_ms=5.0, name="crashloop")
@@ -308,7 +312,7 @@ class TestHardeningIntegration:
         faults.activate(plan, str(tmp_path / "plan.json"))
         summary = run_campaign(
             spec, str(tmp_path / "store.jsonl"),
-            workers=2, executor="spawn", max_attempts=10,
+            workers=2, executor="pool", max_attempts=10,
             crashloop_threshold=3, backoff_base_s=0.01, backoff_cap_s=0.05,
         )
         assert summary.degraded is not None
@@ -346,7 +350,7 @@ class TestQuarantineSurvivesKillResume:
             command = [
                 sys.executable, "-m", "repro", "campaign", "run",
                 "--spec-json", spec_path, "--store", store_path,
-                "--workers", "2", "--executor", "spawn",
+                "--workers", "2", "--executor", "pool",
                 "--max-attempts", "10", "--poison-threshold", "2",
                 "--backoff-base", "0.01",
             ]

@@ -5,9 +5,6 @@ it, and compares the store cell-for-cell against an uninterrupted
 reference run.  Deterministic per-cell seeds make the comparison
 exact: a resumed campaign must be indistinguishable in content from
 one that never died.
-
-The shards backend is covered by the CI selfcheck step; tier-1 keeps
-to jsonl + sqlite so the suite stays fast.
 """
 
 import os
@@ -26,25 +23,18 @@ from repro.campaign.fabric.selfcheck import (
 
 HAS_PROC = os.path.isdir("/proc")
 
-#: Starts an executor's workers, reports ready, then waits to be killed.
+#: Starts a pool's workers, reports ready, then waits to be killed.
 _EXECUTOR_PARENT = """
-import sys, time
-from repro.campaign.fabric.executors import WorkUnit, make_executor
-executor = make_executor(sys.argv[1], 2)
-executor.start()
-for unit_id in range(2):
-    executor.submit(WorkUnit(unit_id, ()))
-while executor.outstanding():
-    executor.poll()
+import time
+from repro.campaign.fabric.executors import make_executor
+make_executor("pool", 2).start()
 print("ready", flush=True)
 time.sleep(120)
 """
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_kill_mid_grid_then_resume_matches_reference(tmp_path, backend):
+def test_kill_mid_grid_then_resume_matches_reference(tmp_path):
     result = run_selfcheck(
-        backend,
         str(tmp_path),
         cells=10,
         spin_ms=30.0,
@@ -61,16 +51,15 @@ def test_kill_mid_grid_then_resume_matches_reference(tmp_path, backend):
     assert result.resumed_executed >= 1
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_gc_killed_in_crash_window_changes_nothing(tmp_path, backend):
+def test_gc_killed_in_crash_window_changes_nothing(tmp_path):
     """Compaction atomicity: a SIGKILLed gc must be a perfect no-op.
 
     The fault plane kills a real ``campaign gc`` subprocess inside its
-    crash window (before the atomic replace for jsonl, between DELETE
-    and commit for sqlite); the store must read back identical, with
-    the superseded-error debris still intact for a clean re-gc.
+    crash window, before the atomic replace; the store must read back
+    identical, with the superseded-error debris still intact for a
+    clean re-gc.
     """
-    result = run_gc_selfcheck(backend, str(tmp_path))
+    result = run_gc_selfcheck(str(tmp_path))
     assert result.gc_returncode == -signal.SIGKILL, (
         "gc subprocess was not killed by the fault plane"
     )
@@ -79,10 +68,9 @@ def test_gc_killed_in_crash_window_changes_nothing(tmp_path, backend):
 
 
 @pytest.mark.skipif(not HAS_PROC, reason="worker pids are read from /proc")
-@pytest.mark.parametrize("executor", ["pool", "spawn"])
-def test_workers_exit_when_parent_is_sigkilled(executor):
+def test_workers_exit_when_parent_is_sigkilled():
     parent = subprocess.Popen(
-        [sys.executable, "-c", _EXECUTOR_PARENT, executor],
+        [sys.executable, "-c", _EXECUTOR_PARENT],
         env=_subprocess_env(), stdout=subprocess.PIPE, text=True,
     )
     try:
